@@ -250,3 +250,116 @@ fn determinism_forked_streams_are_stable() {
     let after = parent.fork(3);
     assert_eq!(before, after);
 }
+
+/// Golden `(per, erasure_rate)` pairs from `sweep_per_faulted`, one link
+/// per PHY generation × {clean, collision pulse, frame truncation}, three
+/// waterfall SNRs each. Every value is a multiple of 1/32 (32 frames per
+/// point), so the literals are exact and compare via `f64::to_bits`.
+/// These pin the trial engine: any change to how trials are addressed,
+/// batched or tallied — or to any generation's physics — moves a value.
+#[test]
+fn golden_faulted_sweeps_every_generation() {
+    use wlan_core::coding::CodeRate;
+    use wlan_core::dsss::DsssRate;
+    use wlan_core::fault::{FaultChain, FaultKind};
+    use wlan_core::linksim::{
+        sweep_per_faulted, DsssLink, FhssLink, HtLink, MimoLink, OfdmLink, PhyLink, StbcLink,
+    };
+    use wlan_core::ofdm::params::Modulation;
+    use wlan_core::ofdm::OfdmRate;
+
+    type Golden = [[(f64, f64); 3]; 3];
+    let ht = |ldpc| HtLink {
+        modulation: Modulation::Qpsk,
+        code_rate: CodeRate::R1_2,
+        ldpc,
+        fading: false,
+    };
+    let cases: Vec<(Box<dyn PhyLink>, [f64; 3], Golden)> = vec![
+        (
+            Box::new(FhssLink),
+            [0.0, 2.0, 4.0],
+            [
+                [(0.75, 0.0), (0.125, 0.0), (0.0, 0.0)],
+                [(1.0, 0.0), (0.96875, 0.0), (1.0, 0.0)],
+                [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],
+            ],
+        ),
+        (
+            Box::new(DsssLink {
+                rate: DsssRate::Dbpsk1M,
+            }),
+            [-4.0, -1.0, 2.0],
+            [
+                [(0.53125, 0.0), (0.0, 0.0), (0.0, 0.0)],
+                [(0.84375, 0.0), (0.40625, 0.0), (0.03125, 0.0)],
+                [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],
+            ],
+        ),
+        (
+            Box::new(OfdmLink::awgn(OfdmRate::R12)),
+            [2.0, 4.0, 6.0],
+            [
+                [(0.90625, 0.0), (0.21875, 0.0), (0.0625, 0.0)],
+                [(1.0, 0.21875), (0.875, 0.25), (0.78125, 0.0625)],
+                [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],
+            ],
+        ),
+        (
+            Box::new(ht(false)),
+            [2.0, 4.0, 6.0],
+            [
+                [(1.0, 0.0), (0.21875, 0.0), (0.0, 0.0)],
+                [(1.0, 0.0), (0.96875, 0.0), (1.0, 0.0)],
+                [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],
+            ],
+        ),
+        (
+            Box::new(ht(true)),
+            [2.0, 4.0, 6.0],
+            [
+                [(1.0, 0.0), (0.375, 0.0), (0.0, 0.0)],
+                [(1.0, 0.0), (1.0, 0.0), (0.9375, 0.0)],
+                [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],
+            ],
+        ),
+        (
+            Box::new(MimoLink::flat(2, 2)),
+            [6.0, 12.0, 18.0],
+            [
+                [(0.59375, 0.0), (0.21875, 0.0), (0.03125, 0.0)],
+                [(0.90625, 0.0), (1.0, 0.0), (0.9375, 0.0)],
+                [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],
+            ],
+        ),
+        (
+            Box::new(StbcLink::flat(1)),
+            [4.0, 8.0, 12.0],
+            [
+                [(0.5625, 0.0), (0.09375, 0.0), (0.03125, 0.0)],
+                [(0.90625, 0.0), (0.8125, 0.0), (0.5625, 0.0)],
+                [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],
+            ],
+        ),
+    ];
+    let chains = [
+        FaultChain::clean(),
+        FaultKind::CollisionPulse.chain(0.2),
+        FaultKind::FrameTruncation.chain(0.2),
+    ];
+    for (link, snrs, golden) in &cases {
+        for (chain, expected) in chains.iter().zip(golden) {
+            let sweep = sweep_per_faulted(link.as_ref(), chain, snrs, 24, 32, 0x601D);
+            for (p, &(per, erasure_rate)) in sweep.points.iter().zip(expected) {
+                let ctx = format!("{} / {} @ {} dB", sweep.name, sweep.fault, p.snr_db);
+                assert_eq!(p.per.to_bits(), per.to_bits(), "{ctx}: per {}", p.per);
+                assert_eq!(
+                    p.erasure_rate.to_bits(),
+                    erasure_rate.to_bits(),
+                    "{ctx}: erasure_rate {}",
+                    p.erasure_rate
+                );
+            }
+        }
+    }
+}
