@@ -37,7 +37,6 @@
 pub mod adaptation;
 pub mod evolution;
 pub mod goodput;
-pub mod linkflow;
 pub mod linksim;
 pub mod range;
 pub mod standard;
@@ -50,7 +49,6 @@ pub use wlan_coding as coding;
 pub use wlan_coop as coop;
 pub use wlan_dsss as dsss;
 pub use wlan_fault as fault;
-pub use wlan_flow as flow;
 pub use wlan_mac as mac;
 pub use wlan_math as math;
 pub use wlan_mesh as mesh;

@@ -34,25 +34,19 @@
 //! numeric state, so the bit-identical-at-any-thread-count contract above
 //! is unaffected by the batching.
 //!
-//! # The streaming flowgraph path
+//! # The trial engine
 //!
-//! Sweeps run by default on the `wlan-flow` streaming runtime: every
-//! generation decomposes its chain into typed tx → channel → rx stages
-//! (see [`crate::linkflow`]) and a window of in-flight frames moves
-//! through them concurrently on a work-stealing scheduler. The monolithic
-//! [`PhyLink::frame_trial_faulted`] implementations below are kept
-//! verbatim as the *reference oracle* — [`sweep_per_faulted_oracle`] runs
-//! them — and `tests/flow_equivalence.rs` pins the two paths bit-identical
-//! (`f64::to_bits`) for every generation × injector × thread count. The
-//! duplication is deliberate: the oracle is the spec the flowgraph is
-//! measured against. Campaign runners (`wlan-runner`, `wlan-dist`) address
-//! single trials via [`frame_trial_at`] and stay on the oracle path.
+//! Every Monte-Carlo consumer runs its frames through one loop,
+//! [`run_trials`]: [`sweep_per_faulted`] (and so [`sweep_per`] and the
+//! city's PER-table calibration), the survivable campaigns in
+//! `wlan-runner`, and the leased rounds of `wlan-dist` workers. Each calls
+//! it on a contiguous frame range of one SNR point and folds the integer
+//! [`TrialTally`] it returns; campaigns also keep the typed erasures it
+//! reports as quarantine entries. Each generation's physics lives in one
+//! place, its [`PhyLink::frame_trial_faulted`] implementation below.
 
+use std::ops::Range;
 use std::sync::OnceLock;
-
-use wlan_flow::{Flowgraph, Stage};
-
-use crate::linkflow;
 
 use wlan_math::par;
 use wlan_math::rng::{Rng, WlanRng};
@@ -213,21 +207,6 @@ pub trait PhyLink: Send + Sync {
         self.frame_trial_faulted(snr_db, payload, &FaultChain::clean(), rng)
             .unwrap_or(false)
     }
-
-    /// The link's chain decomposed into typed `wlan-flow` stages, or
-    /// `None` when the link has no streaming decomposition (sweeps then
-    /// fall back to the monolithic oracle).
-    ///
-    /// Contract: running the returned stages over a job charged with the
-    /// same `(snr_db, rng, payload)` must produce exactly the verdict —
-    /// and consume exactly the RNG draws — of
-    /// [`PhyLink::frame_trial_faulted`]. In practice that means transmit
-    /// stages draw no RNG and the channel stage performs every draw in the
-    /// oracle's order (see the [`crate::linkflow`] module docs).
-    fn flow_stages<'a>(&'a self, faults: &'a FaultChain) -> Option<Vec<Box<dyn Stage + 'a>>> {
-        let _ = faults;
-        None
-    }
 }
 
 /// One point of a faulted PER sweep: the PER plus how much of it the
@@ -275,11 +254,9 @@ impl FaultSweep {
 
 /// Sweeps SNR and measures PER with `frames` trials per point.
 ///
-/// Runs on the streaming flowgraph when the link decomposes
-/// ([`PhyLink::flow_stages`]), the monolithic oracle otherwise — the two
-/// are bit-identical by contract. Trials run in parallel on the
-/// `WLAN_THREADS` pool with per-trial forked RNG streams; the curve is
-/// bit-identical at any thread count (see the module docs).
+/// Trials run in parallel on the `WLAN_THREADS` pool with per-trial
+/// forked RNG streams; the curve is bit-identical at any thread count
+/// (see the module docs).
 ///
 /// # Panics
 ///
@@ -295,33 +272,24 @@ pub fn sweep_per(
         .into_per_curve()
 }
 
-/// [`sweep_per`] forced onto the monolithic reference oracle.
-///
-/// # Panics
-///
-/// Panics if `frames` is zero or `payload_len` is zero.
-pub fn sweep_per_oracle(
-    link: &dyn PhyLink,
-    snrs_db: &[f64],
-    payload_len: usize,
-    frames: usize,
-    seed: u64,
-) -> PerCurve {
-    sweep_per_faulted_oracle(link, &FaultChain::clean(), snrs_db, payload_len, frames, seed)
-        .into_per_curve()
-}
+/// Frames per parallel work item: the batch grain of every trial fan-out
+/// (the sweeps here and the campaign waves in `wlan-runner`). Small enough
+/// that a single-point sweep still fans out, large enough that scheduling
+/// overhead stays invisible next to a PHY chain. Results never depend on
+/// this value — only wall-clock does — because every frame has its own
+/// forked stream.
+pub const FRAMES_PER_BATCH: usize = 8;
 
-/// Frames per parallel work item. Small enough that a single-point sweep
-/// still fans out, large enough that scheduling overhead stays invisible
-/// next to a PHY chain. Results never depend on this value — only
-/// wall-clock does — because every frame has its own forked stream.
-const FRAMES_PER_BATCH: usize = 8;
-
-/// Error counts from one batch of frame trials at one SNR point.
-#[derive(Debug, Clone, Copy, Default)]
-struct TrialTally {
-    errors: usize,
-    erasures: usize,
+/// Integer outcome counts over a range of frame trials. Integers, so
+/// folding the tallies of many batches is order-independent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrialTally {
+    /// Frame trials run.
+    pub trials: u64,
+    /// Failed trials: wrong payloads plus typed erasures.
+    pub errors: u64,
+    /// Trials ending in a typed erasure ([`WlanError`]).
+    pub erasures: u64,
 }
 
 /// Runs the single sweep trial at stream coordinates `(point, frame)`.
@@ -357,40 +325,48 @@ pub fn frame_trial_at(
     result
 }
 
-/// Runs frames `frame_range` of point `point` (integer counts only, so the
-/// per-point reduction over batches is order-independent).
-fn run_frame_batch(
+/// Runs frame trials `frames` of one SNR point, each via
+/// [`frame_trial_at`] on `point_rng`. Returns the integer tally and the
+/// typed erasures as `(frame, error)` pairs in frame order.
+///
+/// This is the one trial loop: sweeps, campaign waves and distributed
+/// leases all call it on their own frame ranges, so splitting a point's
+/// frames into ranges of any shape — batches, rounds, leases, a resume
+/// boundary — yields the same per-frame outcomes.
+pub fn run_trials(
     link: &dyn PhyLink,
     faults: &FaultChain,
     snr_db: f64,
     payload_len: usize,
     point_rng: &WlanRng,
-    frame_range: std::ops::Range<usize>,
-) -> TrialTally {
+    frames: Range<u64>,
+) -> (TrialTally, Vec<(u64, WlanError)>) {
     let mut tally = TrialTally::default();
-    for frame in frame_range {
-        match frame_trial_at(link, faults, snr_db, payload_len, point_rng, frame as u64) {
+    let mut erased = Vec::new();
+    for frame in frames {
+        tally.trials += 1;
+        match frame_trial_at(link, faults, snr_db, payload_len, point_rng, frame) {
             Ok(true) => {}
             Ok(false) => tally.errors += 1,
-            Err(_) => {
+            Err(e) => {
                 tally.errors += 1;
                 tally.erasures += 1;
+                erased.push((frame, e));
             }
         }
     }
-    tally
+    (tally, erased)
 }
 
 /// Sweeps SNR under a fault chain, counting typed erasures separately
 /// from silent payload corruption.
 ///
-/// Runs on the streaming flowgraph when the link decomposes
-/// ([`PhyLink::flow_stages`]); links without a decomposition fall back to
-/// [`sweep_per_faulted_oracle`]. Both paths address every trial as
-/// `master.fork(point).fork(frame)` and fold integer tallies in frame
-/// order, so the sweep is bit-identical across `WLAN_THREADS` settings
-/// *and* across the two execution paths (pinned by
-/// `tests/flow_equivalence.rs`).
+/// The sweep is flattened into `(point, frame-batch)` work items of
+/// [`FRAMES_PER_BATCH`] frames — so a single-point robustness sweep
+/// parallelizes as well as a 12-point waterfall — and each item runs
+/// [`run_trials`] on stream `master.fork(point)`. Integer tallies fold in
+/// work-item order, so the sweep is bit-identical across `WLAN_THREADS`
+/// settings.
 ///
 /// With a clean chain this draws exactly the same RNG sequence as
 /// [`sweep_per`] (the chain consumes no draws), so the two agree
@@ -409,157 +385,31 @@ pub fn sweep_per_faulted(
 ) -> FaultSweep {
     assert!(frames > 0, "need at least one frame per point");
     assert!(payload_len > 0, "payload must be nonempty");
-    match sweep_flow(link, faults, snrs_db, payload_len, frames, seed) {
-        Some(sweep) => sweep,
-        None => sweep_per_faulted_oracle(link, faults, snrs_db, payload_len, frames, seed),
-    }
-}
-
-/// In-flight frame window per scheduler worker: enough pipeline depth
-/// that a worker finishing its frame's rx stage immediately finds another
-/// frame's tx/channel work, small enough that the job pool stays cache-
-/// resident. Results never depend on this value — only wall-clock does.
-const FLOW_WINDOW_PER_WORKER: usize = 4;
-
-/// Runs a sweep on the streaming flowgraph; `None` when the link has no
-/// stage decomposition (or its stages fail port validation, which the
-/// flow unit tests rule out for every shipped link).
-fn sweep_flow(
-    link: &dyn PhyLink,
-    faults: &FaultChain,
-    snrs_db: &[f64],
-    payload_len: usize,
-    frames: usize,
-    seed: u64,
-) -> Option<FaultSweep> {
-    let stages = link.flow_stages(faults)?;
-    let graph = Flowgraph::new("linksim", stages).ok()?;
-    let master = WlanRng::seed_from_u64(seed);
-    let point_rngs: Vec<WlanRng> = (0..snrs_db.len() as u64).map(|i| master.fork(i)).collect();
-    let total = snrs_db.len() * frames;
-    let threads = par::num_threads();
-    let window = threads.saturating_mul(FLOW_WINDOW_PER_WORKER);
-    let verdicts = graph.run(threads, total, window, &|i, job| {
-        let point = i / frames;
-        job.snr_db = snrs_db[point];
-        job.rng = point_rngs[point].fork((i % frames) as u64);
-        // Same draws as `frame_trial_at`: payload bytes come first from
-        // the frame's stream, before any stage runs.
-        for _ in 0..payload_len {
-            let b: u8 = job.rng.gen();
-            job.payload.push(b);
-        }
-    });
-
-    // Deterministic reduction: integer sums per point, folded in frame
-    // order; identical to the oracle's PER arithmetic bit for bit.
-    let (c_frames, c_errors, c_erasures) = trial_counters();
-    let mut totals: Vec<TrialTally> = vec![TrialTally::default(); snrs_db.len()];
-    for (i, verdict) in verdicts.iter().enumerate() {
-        let point = i / frames;
-        c_frames.inc();
-        match verdict {
-            Ok(true) => {}
-            Ok(false) => {
-                c_errors.inc();
-                totals[point].errors += 1;
-            }
-            Err(_) => {
-                c_errors.inc();
-                c_erasures.inc();
-                totals[point].errors += 1;
-                totals[point].erasures += 1;
-            }
-        }
-    }
-
-    let points = snrs_db
-        .iter()
-        .zip(&totals)
-        .map(|(&snr, t)| FaultSweepPoint {
-            snr_db: snr,
-            per: t.errors as f64 / frames as f64,
-            erasure_rate: t.erasures as f64 / frames as f64,
-        })
-        .collect();
-    Some(FaultSweep {
-        name: link.name(),
-        fault: faults.name(),
-        rate_mbps: link.rate_mbps(),
-        points,
-    })
-}
-
-/// Per-frame flowgraph verdicts for one SNR point — the test-facing
-/// window into partial pipeline results. Frame `j` runs on
-/// `point_rng.fork(j)` exactly like [`frame_trial_at`], so each verdict
-/// (including the typed `WlanError` of a mid-pipeline erasure) must equal
-/// the oracle's. Returns `None` when the link has no stage decomposition.
-/// Unlike the sweeps, this does **not** bump the trial counters.
-pub fn flow_verdicts(
-    link: &dyn PhyLink,
-    faults: &FaultChain,
-    snr_db: f64,
-    payload_len: usize,
-    point_rng: &WlanRng,
-    frames: usize,
-) -> Option<Vec<Result<bool, WlanError>>> {
-    let stages = link.flow_stages(faults)?;
-    let graph = Flowgraph::new("linksim", stages).ok()?;
-    Some(graph.run(1, frames, 1, &|j, job| {
-        job.snr_db = snr_db;
-        job.rng = point_rng.fork(j as u64);
-        for _ in 0..payload_len {
-            let b: u8 = job.rng.gen();
-            job.payload.push(b);
-        }
-    }))
-}
-
-/// [`sweep_per_faulted`] forced onto the monolithic reference oracle: the
-/// original `(point, frame-batch)` fan-out over
-/// [`PhyLink::frame_trial_faulted`]. This is the spec path the flowgraph
-/// is measured against.
-///
-/// # Panics
-///
-/// Panics if `frames` is zero or `payload_len` is zero.
-pub fn sweep_per_faulted_oracle(
-    link: &dyn PhyLink,
-    faults: &FaultChain,
-    snrs_db: &[f64],
-    payload_len: usize,
-    frames: usize,
-    seed: u64,
-) -> FaultSweep {
-    assert!(frames > 0, "need at least one frame per point");
-    assert!(payload_len > 0, "payload must be nonempty");
     let master = WlanRng::seed_from_u64(seed);
 
-    // Flatten the sweep into (point, frame-batch) work items so a
-    // single-point robustness sweep parallelizes as well as a 12-point
-    // waterfall.
     let batches = par::batches(frames, FRAMES_PER_BATCH);
-    let work: Vec<(usize, std::ops::Range<usize>)> = snrs_db
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| batches.iter().map(move |b| (i, b.clone())))
+    let work: Vec<(usize, Range<u64>)> = (0..snrs_db.len())
+        .flat_map(|i| {
+            batches
+                .iter()
+                .map(move |b| (i, b.start as u64..b.end as u64))
+        })
         .collect();
 
     let tallies = par::parallel_map(&work, |_, (point, frame_range)| {
-        run_frame_batch(
+        let point_rng = master.fork(*point as u64);
+        let (tally, _) = run_trials(
             link,
             faults,
             snrs_db[*point],
             payload_len,
-            &master.fork(*point as u64),
+            &point_rng,
             frame_range.clone(),
-        )
+        );
+        tally
     });
 
-    // Deterministic reduction: integer sums per point, folded in work-item
-    // order.
-    let mut totals: Vec<TrialTally> = vec![TrialTally::default(); snrs_db.len()];
+    let mut totals = vec![TrialTally::default(); snrs_db.len()];
     for ((point, _), tally) in work.iter().zip(&tallies) {
         totals[*point].errors += tally.errors;
         totals[*point].erasures += tally.erasures;
@@ -632,22 +482,6 @@ impl PhyLink for DsssLink {
         span.stop();
         Ok(rx[..bits.len()] == bits[..])
     }
-
-    fn flow_stages<'a>(&'a self, faults: &'a FaultChain) -> Option<Vec<Box<dyn Stage + 'a>>> {
-        Some(vec![
-            Box::new(linkflow::DsssTx {
-                phy: DsssPhy::new(self.rate),
-            }),
-            Box::new(linkflow::SampleChannel {
-                multipath: None,
-                fading: false,
-                faults,
-            }),
-            Box::new(linkflow::DsssRx {
-                phy: DsssPhy::new(self.rate),
-            }),
-        ])
-    }
 }
 
 /// An 802.11a OFDM link, optionally through multipath.
@@ -716,22 +550,6 @@ impl PhyLink for OfdmLink {
             Ok(p) => Ok(p == payload),
             Err(_) => Err(WlanError::SignalInvalid),
         }
-    }
-
-    fn flow_stages<'a>(&'a self, faults: &'a FaultChain) -> Option<Vec<Box<dyn Stage + 'a>>> {
-        Some(vec![
-            Box::new(linkflow::OfdmTx {
-                phy: OfdmPhy::new(self.rate),
-            }),
-            Box::new(linkflow::SampleChannel {
-                multipath: self.multipath.clone(),
-                fading: false,
-                faults,
-            }),
-            Box::new(linkflow::OfdmRx {
-                phy: OfdmPhy::new(self.rate),
-            }),
-        ])
     }
 }
 
@@ -811,22 +629,6 @@ impl PhyLink for MimoLink {
         let decoded = phy.try_receive(&rx, n0, payload.len());
         span.stop();
         Ok(decoded? == payload)
-    }
-
-    fn flow_stages<'a>(&'a self, faults: &'a FaultChain) -> Option<Vec<Box<dyn Stage + 'a>>> {
-        // The oracle realizes its channel *before* transmit; the channel
-        // stage realizes it after. Sequence-preserving because MimoTx
-        // draws no RNG (see the linkflow module docs).
-        Some(vec![
-            Box::new(linkflow::MimoTx { phy: self.phy() }),
-            Box::new(linkflow::StreamChannel {
-                n_rx: self.n_rx,
-                n_tx: self.n_streams,
-                pdp: self.pdp.clone(),
-                faults,
-            }),
-            Box::new(linkflow::MimoRx { phy: self.phy() }),
-        ])
     }
 }
 
@@ -908,31 +710,6 @@ impl PhyLink for HtLink {
             Ok(decoded? == payload)
         }
     }
-
-    fn flow_stages<'a>(&'a self, faults: &'a FaultChain) -> Option<Vec<Box<dyn Stage + 'a>>> {
-        // The oracle draws its flat fade before transmit; the channel
-        // stage draws it first thing after. Sequence-preserving because
-        // HtTx draws no RNG (see the linkflow module docs).
-        let phy = || {
-            if self.ldpc {
-                linkflow::HtPhyKind::Ldpc(wlan_mimo::ht_ldpc::HtLdpcPhy::cached(
-                    self.modulation,
-                    self.code_rate,
-                ))
-            } else {
-                linkflow::HtPhyKind::Bcc(wlan_mimo::ht::HtPhy::new(self.modulation, self.code_rate))
-            }
-        };
-        Some(vec![
-            Box::new(linkflow::HtTx { phy: phy() }),
-            Box::new(linkflow::SampleChannel {
-                multipath: None,
-                fading: self.fading,
-                faults,
-            }),
-            Box::new(linkflow::HtRx { phy: phy() }),
-        ])
-    }
 }
 
 /// The 802.11-1999 FHSS alternative PHY: 1 Mbps binary FSK on one hop
@@ -981,23 +758,6 @@ impl PhyLink for FhssLink {
         let demodulated = modem.demodulate(&noisy);
         span.stop();
         Ok(demodulated == bits)
-    }
-
-    fn flow_stages<'a>(&'a self, faults: &'a FaultChain) -> Option<Vec<Box<dyn Stage + 'a>>> {
-        use wlan_dsss::fhss::FskModem;
-        Some(vec![
-            Box::new(linkflow::FhssTx {
-                modem: FskModem::new(8),
-            }),
-            Box::new(linkflow::SampleChannel {
-                multipath: None,
-                fading: false,
-                faults,
-            }),
-            Box::new(linkflow::FhssRx {
-                modem: FskModem::new(8),
-            }),
-        ])
     }
 }
 
@@ -1062,21 +822,6 @@ impl PhyLink for StbcLink {
         let decoded = phy.try_receive(&rx, n0, payload.len());
         span.stop();
         Ok(decoded? == payload)
-    }
-
-    fn flow_stages<'a>(&'a self, faults: &'a FaultChain) -> Option<Vec<Box<dyn Stage + 'a>>> {
-        // Channel realized after transmit instead of before — sequence-
-        // preserving because StbcTx draws no RNG.
-        Some(vec![
-            Box::new(linkflow::StbcTx { phy: self.phy() }),
-            Box::new(linkflow::StreamChannel {
-                n_rx: self.n_rx,
-                n_tx: 2,
-                pdp: self.pdp.clone(),
-                faults,
-            }),
-            Box::new(linkflow::StbcRx { phy: self.phy() }),
-        ])
     }
 }
 
@@ -1284,63 +1029,36 @@ mod tests {
     }
 
     #[test]
-    fn every_link_decomposes_into_a_valid_flowgraph() {
-        let chain = FaultChain::clean();
-        let links: Vec<Box<dyn PhyLink>> = vec![
-            Box::new(FhssLink),
-            Box::new(DsssLink {
-                rate: DsssRate::Cck11M,
-            }),
-            Box::new(OfdmLink::awgn(OfdmRate::R12)),
-            Box::new(HtLink {
-                modulation: Modulation::Qpsk,
-                code_rate: wlan_coding::CodeRate::R1_2,
-                ldpc: true,
-                fading: true,
-            }),
-            Box::new(MimoLink::flat(2, 2)),
-            Box::new(StbcLink::flat(1)),
-        ];
-        for link in &links {
-            let stages = link.flow_stages(&chain).expect("every link decomposes");
-            let graph = Flowgraph::new("linksim", stages).expect("ports line up");
-            assert_eq!(graph.stage_names(), vec!["tx", "channel", "rx"], "{}", link.name());
-        }
-    }
-
-    #[test]
-    fn flow_sweep_matches_oracle_bit_for_bit() {
-        // The full generation × injector × thread matrix lives in
-        // tests/flow_equivalence.rs; this is the in-crate canary.
-        let link = DsssLink {
-            rate: DsssRate::Dqpsk2M,
-        };
-        let chain = wlan_fault::FaultKind::CollisionPulse.chain(0.8);
-        let flow = sweep_per_faulted(&link, &chain, &[2.0, 8.0], 30, 20, 77);
-        let oracle = sweep_per_faulted_oracle(&link, &chain, &[2.0, 8.0], 30, 20, 77);
-        assert_eq!(flow, oracle);
-        for (f, o) in flow.points.iter().zip(&oracle.points) {
-            assert_eq!(f.per.to_bits(), o.per.to_bits());
-            assert_eq!(f.erasure_rate.to_bits(), o.erasure_rate.to_bits());
-        }
-    }
-
-    #[test]
-    fn flow_verdicts_match_frame_trial_at_including_typed_errors() {
+    fn run_trials_reports_typed_erasures_in_frame_order() {
         use wlan_fault::FaultKind;
         let link = FhssLink;
         let chain = FaultKind::FrameTruncation.chain(1.0);
         let point_rng = WlanRng::seed_from_u64(5).fork(0);
-        let flow = flow_verdicts(&link, &chain, 20.0, 30, &point_rng, 10).expect("decomposes");
-        let oracle: Vec<Result<bool, WlanError>> = (0..10)
-            .map(|j| frame_trial_at(&link, &chain, 20.0, 30, &point_rng, j))
+        let (tally, erased) = run_trials(&link, &chain, 20.0, 30, &point_rng, 0..10);
+        let expected: Vec<(u64, WlanError)> = (0..10)
+            .filter_map(|j| {
+                frame_trial_at(&link, &chain, 20.0, 30, &point_rng, j)
+                    .err()
+                    .map(|e| (j, e))
+            })
             .collect();
-        assert_eq!(flow, oracle);
+        assert_eq!(erased, expected);
+        assert_eq!(tally.trials, 10);
+        assert_eq!(tally.erasures, erased.len() as u64);
+        assert!(tally.errors >= tally.erasures);
         assert!(
-            flow.iter()
-                .any(|v| matches!(v, Err(WlanError::FrameTruncated { .. }))),
-            "hard truncation must surface as the typed erasure through the flowgraph"
+            erased
+                .iter()
+                .any(|(_, e)| matches!(e, WlanError::FrameTruncated { .. })),
+            "hard truncation must surface as the typed erasure"
         );
+
+        // Any split of the range runs the same trials.
+        let (head, mut split) = run_trials(&link, &chain, 20.0, 30, &point_rng, 0..3);
+        let (tail, rest) = run_trials(&link, &chain, 20.0, 30, &point_rng, 3..10);
+        split.extend(rest);
+        assert_eq!(split, erased);
+        assert_eq!(head.errors + tail.errors, tally.errors);
     }
 
     #[test]

@@ -180,16 +180,8 @@ pub fn read_msg(r: &mut impl BufRead) -> Result<Option<Msg>, ProtoError> {
 }
 
 /// Integer tallies for one round (≤ `ROUND_TRIALS` frame trials) of a
-/// lease: `(trials, errors, erasures)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundTally {
-    /// Frame trials run in this round.
-    pub trials: u64,
-    /// Frames the receiver got wrong.
-    pub errors: u64,
-    /// Trials ending in a typed erasure.
-    pub erasures: u64,
-}
+/// lease: the trial engine's own tally, carried as-is on the wire.
+pub use wlan_core::linksim::TrialTally as RoundTally;
 
 /// Every protocol message. Coordinator→worker: `Hello`, `Lease`,
 /// `Ping`, `Shutdown`; worker→coordinator: `Ready`, `Pong`,

@@ -15,7 +15,7 @@
 
 use std::io::{BufReader, Read, Write};
 
-use wlan_core::linksim::{frame_trial_at, PhyLink};
+use wlan_core::linksim::{run_trials, PhyLink};
 use wlan_fault::FaultChain;
 use wlan_math::rng::WlanRng;
 use wlan_runner::per::ROUND_TRIALS;
@@ -46,12 +46,12 @@ pub struct LeaseJob {
     pub end: u64,
 }
 
-/// Runs one lease's trials: rounds of [`ROUND_TRIALS`] frames aligned
-/// from `job.start`, each trial drawing its universe from
-/// `seed → fork(point) → fork(frame)` — the identical stream addressing
-/// the single-process campaign uses, which is what makes lease results
-/// independent of *which* worker runs them, how often they are
-/// re-dispatched, or whether they fall back in-process.
+/// Runs one lease's trials: one [`run_trials`] call per round of
+/// [`ROUND_TRIALS`] frames aligned from `job.start`, each trial drawing
+/// its universe from `seed → fork(point) → fork(frame)` — the identical
+/// stream addressing the single-process campaign uses, which is what
+/// makes lease results independent of *which* worker runs them, how
+/// often they are re-dispatched, or whether they fall back in-process.
 ///
 /// Returns the per-round tallies and the quarantined trials as
 /// `(frame, error)` pairs in frame order.
@@ -74,25 +74,17 @@ pub fn run_lease(
     let mut frame = start;
     while frame < end {
         let round_end = end.min(frame + ROUND_TRIALS);
-        let mut tally = RoundTally {
-            trials: 0,
-            errors: 0,
-            erasures: 0,
-        };
-        while frame < round_end {
-            tally.trials += 1;
-            match frame_trial_at(link, faults, snr_db, payload_len, &point_rng, frame) {
-                Ok(true) => {}
-                Ok(false) => tally.errors += 1,
-                Err(e) => {
-                    tally.errors += 1;
-                    tally.erasures += 1;
-                    quars.push((frame, e.to_string()));
-                }
-            }
-            frame += 1;
-        }
+        let (tally, erased) = run_trials(
+            link,
+            faults,
+            snr_db,
+            payload_len,
+            &point_rng,
+            frame..round_end,
+        );
         rounds.push(tally);
+        quars.extend(erased.into_iter().map(|(f, e)| (f, e.to_string())));
+        frame = round_end;
     }
     (rounds, quars)
 }

@@ -25,7 +25,9 @@
 
 use std::path::PathBuf;
 
-use wlan_core::linksim::{frame_trial_at, FaultSweep, FaultSweepPoint, PhyLink};
+use wlan_core::linksim::{
+    frame_trial_at, run_trials, FaultSweep, FaultSweepPoint, PhyLink, FRAMES_PER_BATCH,
+};
 use wlan_fault::FaultChain;
 use wlan_math::ci::{wilson95, Interval};
 use wlan_math::par;
@@ -38,13 +40,12 @@ use crate::journal::{self, f64_to_hex, kv, kv_u64, JournalError};
 use crate::quarantine::QuarantinedTrial;
 use crate::Resume;
 
-/// Frame trials one wave adds to each active point: four 8-frame batches,
-/// matching the one-shot sweep's batch grain. Stopping rules and
-/// checkpoints land only on round boundaries, so the set of trials a
+/// Frame trials one wave adds to each active point: four batches of
+/// [`FRAMES_PER_BATCH`], the one-shot sweep's batch grain. Stopping rules
+/// and checkpoints land only on round boundaries, so the set of trials a
 /// point executes is a pure function of its tallies — never of where an
 /// interruption fell.
 pub const ROUND_TRIALS: u64 = 32;
-const FRAMES_PER_BATCH: usize = 8;
 
 /// Configuration for a survivable PER campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -367,7 +368,7 @@ pub fn run_per_campaign(
         }
 
         // One wave: up to ROUND_TRIALS new frames for every active point,
-        // split into the same 8-frame batch grain as the one-shot sweep.
+        // split into the one-shot sweep's FRAMES_PER_BATCH grain.
         let mut work: Vec<(usize, std::ops::Range<u64>)> = Vec::new();
         for &i in &active {
             let start = points[i].trials;
@@ -379,22 +380,14 @@ pub fn run_per_campaign(
 
         let run_batch = |_: usize, (point, frames): &(usize, std::ops::Range<u64>)| {
             let point_rng = master.fork(*point as u64);
-            let snr_db = cfg.snrs_db[*point];
-            let mut tally = (0u64, 0u64, 0u64); // (trials, errors, erasures)
-            let mut quars: Vec<(u64, String)> = Vec::new();
-            for frame in frames.clone() {
-                tally.0 += 1;
-                match frame_trial_at(link, faults, snr_db, cfg.payload_len, &point_rng, frame) {
-                    Ok(true) => {}
-                    Ok(false) => tally.1 += 1,
-                    Err(e) => {
-                        tally.1 += 1;
-                        tally.2 += 1;
-                        quars.push((frame, e.to_string()));
-                    }
-                }
-            }
-            (tally, quars)
+            run_trials(
+                link,
+                faults,
+                cfg.snrs_db[*point],
+                cfg.payload_len,
+                &point_rng,
+                frames.clone(),
+            )
         };
         let results = match cfg.threads {
             Some(t) => par::parallel_map_with_threads(t, &work, run_batch),
@@ -404,21 +397,21 @@ pub fn run_per_campaign(
         // Deterministic fold in work-item order.
         let mut wave_trials = 0u64;
         let mut wave_quarantined = 0u64;
-        for ((point, _), ((trials, errors, erasures), quars)) in work.iter().zip(&results) {
+        for ((point, _), (tally, erased)) in work.iter().zip(&results) {
             let p = &mut points[*point];
-            p.trials += trials;
-            p.errors += errors;
-            p.erasures += erasures;
-            wave_trials += trials;
-            wave_quarantined += quars.len() as u64;
-            for (frame, error) in quars {
+            p.trials += tally.trials;
+            p.errors += tally.errors;
+            p.erasures += tally.erasures;
+            wave_trials += tally.trials;
+            wave_quarantined += erased.len() as u64;
+            for (frame, error) in erased {
                 if seen_quars.insert((*point, *frame)) {
                     quarantine.push(QuarantinedTrial {
                         seed: cfg.seed,
                         point: *point,
                         snr_db: cfg.snrs_db[*point],
                         frame: *frame,
-                        error: error.clone(),
+                        error: error.to_string(),
                     });
                 }
             }

@@ -363,3 +363,45 @@ fn golden_faulted_sweeps_every_generation() {
         }
     }
 }
+
+/// A total-erasure sweep reads PER = erasure_rate = 1.0 at every point —
+/// an erased trial can never default to "frame passed" — and
+/// `snr_for_per` on the resulting curve refuses to report a passing SNR.
+/// The `wlan_math::ci` degenerate contracts the campaign stoppers rely on
+/// hold too: zero trials give the vacuous Wilson interval and an infinite
+/// Hoeffding half-width, so no stopping rule can fire on a point that has
+/// produced no samples.
+#[test]
+fn erased_pipelines_never_masquerade_as_zero_per() {
+    use wlan_core::fault::FaultKind;
+    use wlan_core::linksim::{sweep_per_faulted, OfdmLink};
+    use wlan_core::ofdm::OfdmRate;
+    let snrs = [8.0, 14.0];
+    let link = OfdmLink::awgn(OfdmRate::R12);
+    let chain = FaultKind::FrameTruncation.chain(1.0);
+    let sweep = sweep_per_faulted(&link, &chain, &snrs, 24, 10, 0x9A11E1);
+    for p in &sweep.points {
+        assert_eq!(p.per, 1.0, "every trial erased → PER exactly 1.0");
+        assert_eq!(p.erasure_rate, 1.0, "every erasure is typed and counted");
+    }
+
+    let curve = sweep.into_per_curve();
+    assert_eq!(
+        curve.snr_for_per(0.5),
+        None,
+        "no SNR achieves 0.5 on an all-erased curve"
+    );
+    // Endpoint and non-finite-target contracts on a measured curve.
+    assert_eq!(
+        curve.snr_for_per(1.0),
+        Some(snrs[0]),
+        "PER 1.0 is met at the lowest point, bit-exactly"
+    );
+    assert_eq!(curve.snr_for_per(f64::NAN), None);
+    assert_eq!(curve.snr_for_per(f64::INFINITY), None);
+
+    // ci degenerate inputs: zero trials stay vacuous, never a tight bound.
+    let vac = wlan_core::math::ci::wilson(0, 0, wlan_core::math::ci::Z_95);
+    assert_eq!((vac.lo, vac.hi), (0.0, 1.0));
+    assert!(wlan_core::math::ci::hoeffding_half_width(0, 0.05).is_infinite());
+}
