@@ -1,42 +1,28 @@
-//! Tier-1 flowgraph-equivalence harness: the streaming flowgraph runtime
-//! is an execution strategy, never a physics change.
+//! Tier-1 trial-loop equivalence harness: batching frames through
+//! [`run_trials`] is an execution strategy, never a physics change.
 //!
-//! For every PHY generation and every fault injector, the flowgraph sweep
-//! ([`sweep_per_faulted`], which dispatches to `wlan-flow` whenever the
-//! link decomposes) must agree **bit for bit** with the monolithic
-//! reference oracle ([`sweep_per_faulted_oracle`]) at `WLAN_THREADS=1`,
-//! `WLAN_THREADS=2` and the machine default. Per-frame verdicts —
-//! including the typed `WlanError` of a mid-pipeline erasure — must match
-//! [`frame_trial_at`] one by one: a stage failure can surface only as the
-//! oracle's error, never as a default-0 PER sample.
-//!
-//! The harness also pins the structural seams: a reordered stage chain is
-//! rejected at build time with a typed [`FlowError`], and a brand-new
-//! stage type defined *outside* the core crates slots into a link's chain
-//! without touching the scheduler.
-//!
-//! `WLAN_THREADS` is process-global; as in `parallel_determinism.rs`,
-//! every env mutation stays inside a single `#[test]`, and by the property
-//! under test a concurrently-observed thread count cannot change results.
+//! Every sweep, campaign wave and distributed lease runs its frames
+//! through [`run_trials`] on some frame range. For every PHY generation,
+//! the per-frame verdicts it reports — including the typed `WlanError`
+//! of an erasure — must match [`frame_trial_at`] one by one, however the
+//! frames are split into ranges: a failed trial can surface only as the
+//! trial's own error, never as a default-0 PER sample.
 
 use wlan_core::coding::CodeRate;
 use wlan_core::dsss::DsssRate;
-use wlan_core::fault::{FaultChain, FaultKind};
+use wlan_core::fault::FaultKind;
 use wlan_core::linksim::{
-    flow_verdicts, frame_trial_at, sweep_per, sweep_per_faulted, sweep_per_faulted_oracle,
-    sweep_per_oracle, DsssLink, FaultSweep, FhssLink, HtLink, MimoLink, OfdmLink, PhyLink,
-    StbcLink,
+    frame_trial_at, run_trials, DsssLink, FhssLink, HtLink, MimoLink, OfdmLink, PhyLink, StbcLink,
+    FRAMES_PER_BATCH,
 };
 use wlan_core::ofdm::params::Modulation;
 use wlan_core::ofdm::OfdmRate;
-use wlan_flow::{FlowError, Flowgraph, FrameJob, PortKind, Stage};
 use wlan_math::rng::WlanRng;
-use wlan_math::WlanError;
 
 const MASTER_SEED: u64 = 0x9A11E1;
 const PAYLOAD: usize = 24;
-const FRAMES: usize = 10; // > one scheduler window at 1–2 workers
-const SNRS_DB: [f64; 2] = [8.0, 14.0];
+const FRAMES: u64 = 10; // > one FRAMES_PER_BATCH batch
+const SNR_DB: f64 = 8.0;
 
 /// One link per generation (mirrors the parallel-determinism roster).
 fn all_generations() -> Vec<Box<dyn PhyLink>> {
@@ -63,282 +49,83 @@ fn all_generations() -> Vec<Box<dyn PhyLink>> {
     ]
 }
 
-/// Runs `f` with `WLAN_THREADS` pinned (or unset for the machine default).
-fn with_threads<T>(threads: Option<&str>, f: impl FnOnce() -> T) -> T {
-    match threads {
-        Some(v) => std::env::set_var("WLAN_THREADS", v),
-        None => std::env::remove_var("WLAN_THREADS"),
-    }
-    let out = f();
-    std::env::remove_var("WLAN_THREADS");
-    out
-}
-
-/// `assert_eq!` on a `FaultSweep` pair, but with every float compared via
-/// `to_bits` so a sign-of-zero or last-ulp drift cannot hide behind `==`.
-fn assert_bit_identical(flow: &FaultSweep, oracle: &FaultSweep, ctx: &str) {
-    assert_eq!(flow.name, oracle.name, "{ctx}: link name");
-    assert_eq!(flow.fault, oracle.fault, "{ctx}: fault name");
-    assert_eq!(
-        flow.rate_mbps.to_bits(),
-        oracle.rate_mbps.to_bits(),
-        "{ctx}: rate"
-    );
-    assert_eq!(flow.points.len(), oracle.points.len(), "{ctx}: point count");
-    for (f, o) in flow.points.iter().zip(&oracle.points) {
-        assert_eq!(f.snr_db.to_bits(), o.snr_db.to_bits(), "{ctx}: snr");
-        assert_eq!(
-            f.per.to_bits(),
-            o.per.to_bits(),
-            "{ctx} @ {} dB: per {} vs oracle {}",
-            f.snr_db,
-            f.per,
-            o.per
-        );
-        assert_eq!(
-            f.erasure_rate.to_bits(),
-            o.erasure_rate.to_bits(),
-            "{ctx} @ {} dB: erasure_rate {} vs oracle {}",
-            f.snr_db,
-            f.erasure_rate,
-            o.erasure_rate
-        );
-    }
-}
-
-/// The headline contract: flowgraph ≡ oracle, bit for bit, for every
-/// generation × every injector (plus the clean chain) × every thread
-/// setting. The oracle always runs serially-pinned here, so this also
-/// proves the flow scheduler at 2 and default workers against a fixed
-/// reference rather than against itself.
-#[test]
-fn every_generation_and_injector_matches_the_oracle_bit_for_bit() {
-    for link in all_generations() {
-        let mut chains: Vec<(String, FaultChain)> =
-            vec![("clean".into(), FaultChain::clean())];
-        for kind in FaultKind::all() {
-            chains.push((kind.name().to_string(), kind.chain(0.65)));
-        }
-        for (kind_name, chain) in &chains {
-            let oracle = with_threads(Some("1"), || {
-                sweep_per_faulted_oracle(link.as_ref(), chain, &SNRS_DB, PAYLOAD, FRAMES, MASTER_SEED)
-            });
-            for threads in [Some("1"), Some("2"), None] {
-                let flow = with_threads(threads, || {
-                    sweep_per_faulted(link.as_ref(), chain, &SNRS_DB, PAYLOAD, FRAMES, MASTER_SEED)
-                });
-                let ctx = format!(
-                    "{} under {} at WLAN_THREADS={threads:?}",
-                    link.name(),
-                    kind_name
-                );
-                assert_bit_identical(&flow, &oracle, &ctx);
-            }
-        }
-    }
-}
-
-/// The clean-sweep entry point obeys the same contract: `sweep_per` (flow)
-/// and `sweep_per_oracle` agree bit for bit, and with the clean chain the
-/// faulted sweep collapses onto the same curve.
-#[test]
-fn clean_sweeps_agree_across_both_entry_points() {
-    let link = OfdmLink::awgn(OfdmRate::R12);
-    let flow = sweep_per(&link, &SNRS_DB, PAYLOAD, FRAMES, MASTER_SEED);
-    let oracle = sweep_per_oracle(&link, &SNRS_DB, PAYLOAD, FRAMES, MASTER_SEED);
-    assert_eq!(flow.points.len(), oracle.points.len());
-    for (f, o) in flow.points.iter().zip(&oracle.points) {
-        assert_eq!(f.per.to_bits(), o.per.to_bits());
-        assert_eq!(f.snr_db.to_bits(), o.snr_db.to_bits());
-    }
-}
-
-/// Satellite contract: a stage erasure mid-pipeline surfaces as the
-/// oracle's *typed* `WlanError` — same variant, same fields, same frame —
-/// never as a silent pass. `FrameTruncation` at severity 1.0 truncates
-/// every frame, so every generation must produce an all-erasure verdict
-/// list identical to `frame_trial_at`'s.
+/// A trial erasure surfaces as the trial's *typed* `WlanError` — same
+/// variant, same fields, same frame — never as a silent pass.
+/// `FrameTruncation` at severity 1.0 truncates every frame, so every
+/// generation must report erasures identical to `frame_trial_at`'s, both
+/// from one range over all frames and from the sweep's batch split.
 #[test]
 fn per_frame_typed_errors_match_frame_trial_at_for_every_generation() {
     let master = WlanRng::seed_from_u64(MASTER_SEED);
     let point_rng = master.fork(0);
     let chain = FaultKind::FrameTruncation.chain(1.0);
+    let batch = FRAMES_PER_BATCH as u64;
     let mut roster_erasures = 0usize;
     for link in all_generations() {
-        let verdicts = flow_verdicts(link.as_ref(), &chain, SNRS_DB[0], PAYLOAD, &point_rng, FRAMES)
-            .unwrap_or_else(|| panic!("{} must decompose into stages", link.name()));
-        assert_eq!(verdicts.len(), FRAMES);
-        for (frame, flow_v) in verdicts.iter().enumerate() {
-            let oracle_v = frame_trial_at(
-                link.as_ref(),
-                &chain,
-                SNRS_DB[0],
-                PAYLOAD,
-                &point_rng,
-                frame as u64,
-            );
-            assert_eq!(
-                *flow_v,
-                oracle_v,
-                "{} frame {frame}: flow and oracle verdicts diverged",
-                link.name()
-            );
-            // Which variant surfaces depends on the receiver (a DSSS rx
-            // sees `FrameTruncated`, an OFDM rx may reject the SIGNAL
-            // field instead); identity with the oracle is the contract,
-            // the variant is the receiver's business.
-            if flow_v.is_err() {
-                roster_erasures += 1;
-            }
-        }
+        let expected: Vec<_> = (0..FRAMES)
+            .map(|frame| frame_trial_at(link.as_ref(), &chain, SNR_DB, PAYLOAD, &point_rng, frame))
+            .collect();
+
+        let (whole, whole_erased) = run_trials(
+            link.as_ref(),
+            &chain,
+            SNR_DB,
+            PAYLOAD,
+            &point_rng,
+            0..FRAMES,
+        );
+        let (head, mut split_erased) =
+            run_trials(link.as_ref(), &chain, SNR_DB, PAYLOAD, &point_rng, 0..batch);
+        let (tail, tail_erased) = run_trials(
+            link.as_ref(),
+            &chain,
+            SNR_DB,
+            PAYLOAD,
+            &point_rng,
+            batch..FRAMES,
+        );
+        split_erased.extend(tail_erased);
+        assert_eq!(whole.trials, FRAMES, "{}: trial count", link.name());
+        assert_eq!(
+            head.trials + tail.trials,
+            FRAMES,
+            "{}: split trial count",
+            link.name()
+        );
+        assert_eq!(
+            whole_erased,
+            split_erased,
+            "{}: erasures depend on the frame-range split",
+            link.name()
+        );
+
+        let expected_erased: Vec<_> = expected
+            .iter()
+            .enumerate()
+            .filter_map(|(frame, v)| v.err().map(|e| (frame as u64, e)))
+            .collect();
+        // Which variant surfaces depends on the receiver (a DSSS rx sees
+        // `FrameTruncated`, an OFDM rx may reject the SIGNAL field
+        // instead); identity with `frame_trial_at` is the contract, the
+        // variant is the receiver's business.
+        assert_eq!(
+            whole_erased,
+            expected_erased,
+            "{}: run_trials and frame_trial_at erasures diverged",
+            link.name()
+        );
+        let failed = expected.iter().filter(|v| !matches!(v, Ok(true))).count() as u64;
+        assert_eq!(whole.errors, failed, "{}: error tally", link.name());
+        assert_eq!(
+            whole.erasures,
+            expected_erased.len() as u64,
+            "{}: erasure tally",
+            link.name()
+        );
+        roster_erasures += expected_erased.len();
     }
     assert!(
         roster_erasures > 0,
         "severity-1.0 truncation must produce typed erasures somewhere in the roster"
     );
-}
-
-/// A total-erasure sweep reads PER = erasure_rate = 1.0 at every point on
-/// *both* paths — a dropped verdict can never default to "frame passed" —
-/// and `snr_for_per` on the resulting curve refuses to report a passing
-/// SNR. The `wlan_math::ci` degenerate contracts the campaign stoppers
-/// rely on hold unchanged: zero trials give the vacuous Wilson interval
-/// and an infinite Hoeffding half-width, so no stopping rule can fire on
-/// a point the flowgraph never produced samples for.
-#[test]
-fn erased_pipelines_never_masquerade_as_zero_per() {
-    let link = OfdmLink::awgn(OfdmRate::R12);
-    let chain = FaultKind::FrameTruncation.chain(1.0);
-    let flow = sweep_per_faulted(&link, &chain, &SNRS_DB, PAYLOAD, FRAMES, MASTER_SEED);
-    let oracle = sweep_per_faulted_oracle(&link, &chain, &SNRS_DB, PAYLOAD, FRAMES, MASTER_SEED);
-    assert_bit_identical(&flow, &oracle, "total truncation");
-    for p in &flow.points {
-        assert_eq!(p.per, 1.0, "every trial erased → PER exactly 1.0");
-        assert_eq!(p.erasure_rate, 1.0, "every erasure is typed and counted");
-    }
-
-    let curve = flow.into_per_curve();
-    assert_eq!(curve.snr_for_per(0.5), None, "no SNR achieves 0.5 on an all-erased curve");
-    // Endpoint and non-finite-target contracts on a flow-produced curve.
-    assert_eq!(curve.snr_for_per(1.0), Some(SNRS_DB[0]), "PER 1.0 is met at the lowest point, bit-exactly");
-    assert_eq!(curve.snr_for_per(f64::NAN), None);
-    assert_eq!(curve.snr_for_per(f64::INFINITY), None);
-
-    // ci degenerate inputs: zero trials stay vacuous, never a tight bound.
-    let vac = wlan_math::ci::wilson(0, 0, wlan_math::ci::Z_95);
-    assert_eq!((vac.lo, vac.hi), (0.0, 1.0));
-    assert!(wlan_math::ci::hoeffding_half_width(0, 0.05).is_infinite());
-}
-
-/// Stage-reordering negative test: permuting a real link's stage chain is
-/// a *typed* build-time error, one variant per structural violation —
-/// never a graph that runs and quietly computes the wrong physics.
-#[test]
-fn reordered_stage_chains_are_rejected_with_typed_errors() {
-    let link = OfdmLink::awgn(OfdmRate::R12);
-    let chain = FaultChain::clean();
-
-    // rx ∘ channel ∘ tx — reversed chain fails at the source.
-    let mut stages = link.flow_stages(&chain).expect("ofdm decomposes");
-    stages.reverse();
-    assert_eq!(
-        Flowgraph::new("flowneg", stages).err(),
-        Some(FlowError::BadSource {
-            stage: "rx",
-            found: PortKind::Samples
-        })
-    );
-
-    // tx ∘ rx ∘ channel — swapping channel and rx fails at the junction.
-    let mut stages = link.flow_stages(&chain).expect("ofdm decomposes");
-    stages.swap(1, 2);
-    assert_eq!(
-        Flowgraph::new("flowneg", stages).err(),
-        Some(FlowError::PortMismatch {
-            upstream: "rx",
-            downstream: "channel",
-            produced: PortKind::Verdict,
-            expected: PortKind::Samples
-        })
-    );
-
-    // tx ∘ channel — dropping the sink fails at the sink.
-    let mut stages = link.flow_stages(&chain).expect("ofdm decomposes");
-    stages.truncate(2);
-    assert_eq!(
-        Flowgraph::new("flowneg", stages).err(),
-        Some(FlowError::BadSink {
-            stage: "channel",
-            found: PortKind::Samples
-        })
-    );
-
-    // The MIMO chain flows Streams between its stages, so splicing a
-    // samples-domain channel into it is caught the same way.
-    let mimo = MimoLink::flat(2, 2);
-    let mut stages = mimo.flow_stages(&chain).expect("mimo decomposes");
-    let ofdm_channel = link
-        .flow_stages(&chain)
-        .expect("ofdm decomposes")
-        .swap_remove(1);
-    stages[1] = ofdm_channel;
-    let err = Flowgraph::new("flowneg", stages).err();
-    assert!(
-        matches!(err, Some(FlowError::PortMismatch { .. })),
-        "streams/samples splice must be a port mismatch, got {err:?}"
-    );
-}
-
-/// A no-op automatic-gain stage: Samples → Samples, draws no RNG, touches
-/// no bits. Defined here — outside every workspace crate — to prove the
-/// `Stage` seam admits new stage types without modifying the runtime.
-struct UnitGain;
-
-impl Stage for UnitGain {
-    fn name(&self) -> &'static str {
-        "agc"
-    }
-    fn input(&self) -> PortKind {
-        PortKind::Samples
-    }
-    fn output(&self) -> PortKind {
-        PortKind::Samples
-    }
-    fn process(&self, job: &mut FrameJob) -> Result<(), WlanError> {
-        for s in job.samples.iter_mut() {
-            *s = *s * 1.0;
-        }
-        Ok(())
-    }
-}
-
-/// Extension seam: a stage type the core crates have never heard of slots
-/// into a real link's chain purely through the port system, runs on the
-/// work-stealing scheduler, and — because it draws no RNG and changes no
-/// bits — leaves every verdict equal to the un-extended oracle's.
-#[test]
-fn a_foreign_passthrough_stage_slots_into_a_real_chain() {
-    let link = OfdmLink::awgn(OfdmRate::R12);
-    let chain = FaultChain::clean();
-    let mut stages = link.flow_stages(&chain).expect("ofdm decomposes");
-    stages.insert(2, Box::new(UnitGain));
-    let graph = Flowgraph::new("flowext", stages).expect("agc types as Samples → Samples");
-    assert_eq!(graph.stage_names(), vec!["tx", "channel", "agc", "rx"]);
-
-    let master = WlanRng::seed_from_u64(MASTER_SEED);
-    let point_rng = master.fork(0);
-    for threads in [1, 4] {
-        let verdicts = graph.run(threads, FRAMES, 8, &|j, job| {
-            job.snr_db = SNRS_DB[0];
-            job.rng = point_rng.fork(j as u64);
-            for _ in 0..PAYLOAD {
-                let b: u8 = wlan_math::rng::Rng::gen(&mut job.rng);
-                job.payload.push(b);
-            }
-        });
-        for (frame, v) in verdicts.iter().enumerate() {
-            let oracle = frame_trial_at(&link, &chain, SNRS_DB[0], PAYLOAD, &point_rng, frame as u64);
-            assert_eq!(*v, oracle, "threads={threads} frame {frame}");
-        }
-    }
 }

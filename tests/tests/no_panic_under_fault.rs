@@ -11,14 +11,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use wlan_core::fault::{FaultChain, FaultKind};
 use wlan_core::linksim::{
-    frame_trial_at, sweep_per, sweep_per_faulted, DsssLink, FaultSweep, FhssLink, HtLink,
-    MimoLink, OfdmLink, PhyLink, StbcLink,
+    sweep_per, sweep_per_faulted, DsssLink, FaultSweep, FhssLink, HtLink, MimoLink, OfdmLink,
+    PhyLink, StbcLink,
 };
 use wlan_core::coding::CodeRate;
 use wlan_core::dsss::DsssRate;
 use wlan_core::ofdm::params::Modulation;
 use wlan_core::ofdm::OfdmRate;
-use wlan_core::math::rng::WlanRng;
 
 const MASTER_SEED: u64 = 0xE16;
 const PAYLOAD: usize = 24;
@@ -144,7 +143,6 @@ fn clean_chain_sweeps_match_sweep_per_exactly() {
 #[test]
 fn hard_truncation_is_always_a_detected_erasure() {
     let chain = FaultKind::FrameTruncation.chain(1.0);
-    let point_rng = WlanRng::seed_from_u64(MASTER_SEED).fork(0);
     for link in all_generations() {
         let sweep = faulted_sweep(link.as_ref(), &chain);
         let p = sweep.points[0];
@@ -157,19 +155,6 @@ fn hard_truncation_is_always_a_detected_erasure() {
         assert!(
             p.erasure_rate > 0.0,
             "{}: truncation must be detected, not silently miscorrected",
-            sweep.name
-        );
-        // The sweep's erasures are exactly the typed errors the trials
-        // return at the same coordinates.
-        let errs = (0..FRAMES as u64)
-            .filter(|&j| {
-                frame_trial_at(link.as_ref(), &chain, SNR_DB, PAYLOAD, &point_rng, j).is_err()
-            })
-            .count();
-        assert_eq!(
-            p.erasure_rate.to_bits(),
-            (errs as f64 / FRAMES as f64).to_bits(),
-            "{}: sweep erasures vs frame_trial_at errors",
             sweep.name
         );
     }
