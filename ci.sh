@@ -47,28 +47,38 @@ WLAN_OBS=0 "$SMOKE" "$SMOKE_DIR/obs_off.journal" > "$SMOKE_DIR/obs_off.txt" 2>/d
 diff "$SMOKE_DIR/expected.txt" "$SMOKE_DIR/obs_off.txt"
 rm -rf "$SMOKE_DIR"
 
-# Distributed chaos smoke (DESIGN.md "Distributed campaigns"): the same
-# campaign sharded over a 3-worker subprocess fleet that loses a worker
-# to a chaos kill mid-flight must print a result table byte-identical to
-# a 1-worker run. This drives the real subprocess path — pipes, frames,
-# timeouts, redispatch — that the in-process chaos harness
-# (tests/dist_chaos.rs) can only approximate.
-cargo build --release --offline -p wlan-dist --example distributed_campaign
-CHAOS=target/release/examples/distributed_campaign
-CHAOS_DIR=$(mktemp -d)
-"$CHAOS" --workers 1 > "$CHAOS_DIR/one_worker.txt" 2>/dev/null
-"$CHAOS" --workers 3 --kill-one-after-ms 300 > "$CHAOS_DIR/chaos.txt" 2>"$CHAOS_DIR/chaos.log"
-diff "$CHAOS_DIR/one_worker.txt" "$CHAOS_DIR/chaos.txt"
-
-# Networked campaign service smoke (DESIGN.md "Service mode & TCP
-# transport"): the same campaign served over real TCP sockets to a
-# 3-worker fleet. One worker crashes (hard exit, mid-lease) at ~300 ms
-# and is restarted — it re-dials, re-handshakes, and rejoins the fleet
-# as a late joiner. The final stdout must be byte-identical to the
-# 1-worker stdio run above.
+# Distributed chaos smoke (DESIGN.md "Distributed campaigns" and
+# "Service mode & TCP transport"): the same campaign served over real
+# TCP sockets. A 1-worker run prints the reference table. A 3-worker
+# fleet that loses one worker to a hard exit at ~300 ms (not restarted)
+# must print a byte-identical table, and its serve log must record at
+# least one worker death, so the diff cannot pass without a kill. This
+# drives the real process path — sockets, frames, timeouts, redispatch —
+# that the in-process chaos harness (tests/dist_chaos.rs) can only
+# approximate.
 cargo build --release --offline -p wlan-dist --example campaign_serve
 SERVE=target/release/examples/campaign_serve
 SERVE_DIR=$(mktemp -d)
+"$SERVE" --serve --addr 127.0.0.1:0 --addr-file "$SERVE_DIR/one.addr" \
+    > "$SERVE_DIR/one_worker.txt" 2>"$SERVE_DIR/one.log" &
+SERVE_PID=$!
+"$SERVE" --tcp-worker --addr-file "$SERVE_DIR/one.addr" --retries 50 >/dev/null 2>&1 &
+wait "$SERVE_PID"
+"$SERVE" --serve --addr 127.0.0.1:0 --addr-file "$SERVE_DIR/chaos.addr" \
+    > "$SERVE_DIR/chaos.txt" 2>"$SERVE_DIR/chaos.log" &
+SERVE_PID=$!
+"$SERVE" --tcp-worker --addr-file "$SERVE_DIR/chaos.addr" --retries 50 >/dev/null 2>&1 &
+"$SERVE" --tcp-worker --addr-file "$SERVE_DIR/chaos.addr" --retries 50 \
+    --die-after-ms 300 >/dev/null 2>&1 &
+"$SERVE" --tcp-worker --addr-file "$SERVE_DIR/chaos.addr" --retries 50 >/dev/null 2>&1 &
+wait "$SERVE_PID"
+diff "$SERVE_DIR/one_worker.txt" "$SERVE_DIR/chaos.txt"
+grep -Eq 'campaign 0: fleet [0-9]+ spawned, [1-9][0-9]* died' "$SERVE_DIR/chaos.log"
+
+# Crash-and-restart: one worker crashes (hard exit, mid-lease) at
+# ~300 ms and is restarted — it re-dials, re-handshakes, and rejoins the
+# fleet as a late joiner. The final stdout must be byte-identical to the
+# 1-worker run above.
 "$SERVE" --serve --addr 127.0.0.1:0 --addr-file "$SERVE_DIR/tcp.addr" \
     > "$SERVE_DIR/tcp.txt" 2>"$SERVE_DIR/tcp.log" &
 SERVE_PID=$!
@@ -79,7 +89,7 @@ SERVE_PID=$!
       >/dev/null 2>&1 ) &
 "$SERVE" --tcp-worker --addr-file "$SERVE_DIR/tcp.addr" --retries 50 >/dev/null 2>&1 &
 wait "$SERVE_PID"
-diff "$CHAOS_DIR/one_worker.txt" "$SERVE_DIR/tcp.txt"
+diff "$SERVE_DIR/one_worker.txt" "$SERVE_DIR/tcp.txt"
 
 # SIGKILL the service mid-campaign; the re-run rebinds the *same*
 # address (the journal keys carry it) and resumes from the checkpoint.
@@ -101,7 +111,7 @@ for _ in 1 2 3 4 5; do
         break
     fi
 done
-diff "$CHAOS_DIR/one_worker.txt" "$SERVE_DIR/resumed.txt"
+diff "$SERVE_DIR/one_worker.txt" "$SERVE_DIR/resumed.txt"
 cargo run -q --release --offline -p wlan-bench --example check_bench_json -- \
     --jsonl "$SERVE_DIR/serve_events.jsonl"
 
@@ -123,7 +133,6 @@ wait "$SERVE_PID"
 wait "$EVENTS_PID" 2>/dev/null || true
 grep -q '"event":"serve_shutdown"' "$SERVE_DIR/drain_events.jsonl"
 rm -rf "$SERVE_DIR"
-rm -rf "$CHAOS_DIR"
 
 # Instrumented bench smoke: the experiments that carry wlan-obs emission
 # (E4 PHY sweeps, E13 MAC, E16 fault catalog, E20 city) must produce

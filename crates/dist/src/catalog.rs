@@ -1,6 +1,6 @@
 //! Wire-addressable catalog of links and fault chains.
 //!
-//! A worker subprocess reconstructs the coordinator's exact campaign
+//! A worker process reconstructs the coordinator's exact campaign
 //! from the `hello` message alone, so every link and fault chain the
 //! distributed layer supports needs a stable, space-free string id that
 //! round-trips bit-exactly. That is deliberately a *catalog*, not

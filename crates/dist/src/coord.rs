@@ -34,8 +34,6 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufReader, Read, Write};
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -65,7 +63,9 @@ pub struct DistConfig {
     /// The campaign itself (snrs, payload, budgets, journal). The
     /// `threads` field only affects in-process fallback execution.
     pub per: PerCampaignConfig,
-    /// Worker fleet size; `0` means pure in-process execution.
+    /// In-process workers [`run_dist_per_campaign`] spawns; `0` means
+    /// pure in-process execution. [`run_dist_per_campaign_on`] ignores
+    /// it and runs on whatever fleet it is given.
     pub workers: usize,
     /// Rounds of [`ROUND_TRIALS`] trials per lease.
     pub lease_rounds: u64,
@@ -93,7 +93,8 @@ pub struct DistConfig {
 }
 
 impl DistConfig {
-    /// Defaults tuned for subprocess fleets; tests shrink the timeouts.
+    /// Defaults tuned for worker processes on a real network; tests
+    /// shrink the timeouts.
     pub fn new(per: PerCampaignConfig, workers: usize) -> Self {
         Self {
             per,
@@ -149,69 +150,25 @@ impl DistConfig {
     }
 }
 
-/// The I/O a coordinator holds onto one worker: its stdin, its stdout,
-/// and a way to kill it.
+/// The I/O a coordinator holds onto one worker: the stream it writes
+/// frames to, the stream it reads frames from, and a way to kill it.
+/// A TCP worker's are the two halves of its socket; an in-process
+/// worker's are the ends of its duplex pipes.
 pub struct WorkerIo {
-    /// Coordinator → worker (the worker's stdin).
+    /// Coordinator → worker frames.
     pub writer: Box<dyn Write + Send>,
-    /// Worker → coordinator (the worker's stdout).
+    /// Worker → coordinator frames.
     pub reader: Box<dyn Read + Send>,
     /// Terminates the worker and releases its resources (idempotent).
     pub kill: Box<dyn FnMut() + Send>,
 }
 
-/// Spawns workers. Two implementations ship: [`ProcessFactory`]
-/// (subprocesses over stdio) and [`InProcessFactory`] (threads over
-/// in-memory pipes, optionally behind fault-injecting relays — the
-/// chaos harness's workhorse).
-pub trait WorkerFactory {
-    /// Spawns worker `id` and returns its I/O handles.
-    fn spawn(&mut self, id: usize) -> std::io::Result<WorkerIo>;
-}
-
-/// Spawns real subprocesses: `program args...` with piped stdio. The
-/// program must enter worker mode ([`serve`] on stdio) when given these
-/// arguments — conventionally the same binary re-invoked with
-/// `--worker`.
-pub struct ProcessFactory {
-    /// Worker executable (usually `std::env::current_exe()`).
-    pub program: PathBuf,
-    /// Arguments selecting worker mode.
-    pub args: Vec<String>,
-}
-
-impl WorkerFactory for ProcessFactory {
-    fn spawn(&mut self, _id: usize) -> std::io::Result<WorkerIo> {
-        let mut child = Command::new(&self.program)
-            .args(&self.args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        let stdin = child
-            .stdin
-            .take()
-            .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::BrokenPipe))?;
-        let stdout = child
-            .stdout
-            .take()
-            .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::BrokenPipe))?;
-        Ok(WorkerIo {
-            writer: Box::new(stdin),
-            reader: Box::new(stdout),
-            kill: Box::new(move || {
-                let _ = child.kill();
-                let _ = child.wait();
-            }),
-        })
-    }
-}
-
 /// Spawns worker *threads* over in-memory pipes, with optional
 /// transport-fault relays in each direction. "Killing" such a worker
 /// severs its pipes: readers see EOF, writers see `BrokenPipe`, exactly
-/// like a subprocess dying — which lets the chaos harness exercise every
-/// coordinator failure path deterministically and cheaply.
+/// like a TCP worker's socket closing — which lets the chaos harness
+/// exercise every coordinator failure path deterministically and
+/// cheaply.
 pub struct InProcessFactory {
     /// Faults on the coordinator → worker direction.
     pub to_worker: TransportFaults,
@@ -230,10 +187,10 @@ impl InProcessFactory {
             relay_seed: 0,
         }
     }
-}
 
-impl WorkerFactory for InProcessFactory {
-    fn spawn(&mut self, id: usize) -> std::io::Result<WorkerIo> {
+    /// Spawns worker `id` (a thread) and returns the coordinator's end
+    /// of its pipes.
+    pub fn spawn(&mut self, id: usize) -> WorkerIo {
         let mut closers: Vec<PipeCloser> = Vec::new();
         let (coord_w, coord_r): (Box<dyn Write + Send>, Box<dyn Read + Send>) =
             if self.to_worker.is_clean() && self.from_worker.is_clean() {
@@ -259,7 +216,7 @@ impl WorkerFactory for InProcessFactory {
                 std::thread::spawn(move || serve(wr, ww));
                 (Box::new(cw), Box::new(cr))
             };
-        Ok(WorkerIo {
+        WorkerIo {
             writer: coord_w,
             reader: coord_r,
             kill: Box::new(move || {
@@ -267,7 +224,7 @@ impl WorkerFactory for InProcessFactory {
                     c.close();
                 }
             }),
-        })
+        }
     }
 }
 
@@ -502,7 +459,7 @@ fn reader_loop(w: usize, reader: Box<dyn Read + Send>, tx: mpsc::Sender<Event>) 
 /// frame from a worker still chewing on campaign N's lease can never be
 /// mistaken for a result in campaign N+1.
 pub struct Fleet {
-    slots: Vec<Option<Slot>>,
+    slots: Vec<Slot>,
     tx: mpsc::Sender<Event>,
     rx: mpsc::Receiver<Event>,
     joiners: Option<mpsc::Receiver<WorkerIo>>,
@@ -524,18 +481,14 @@ impl Fleet {
         }
     }
 
-    /// Spawns `workers` workers up front from `factory`. A failed spawn
-    /// leaves an empty slot (the campaign degrades rather than aborts).
-    pub fn spawn(workers: usize, factory: &mut dyn WorkerFactory) -> Self {
+    /// Spawns `workers` in-process workers up front from `factory` (the
+    /// deterministic test fleet; worker processes join over TCP through
+    /// [`Fleet::from_joiners`]).
+    pub fn spawn(workers: usize, factory: &mut InProcessFactory) -> Self {
         let mut fleet = Self::new_empty();
         let now = Instant::now();
         for w in 0..workers {
-            match factory.spawn(w) {
-                Ok(io) => {
-                    fleet.attach(io, now);
-                }
-                Err(_) => fleet.slots.push(None),
-            }
+            fleet.attach(factory.spawn(w), now);
         }
         fleet
     }
@@ -557,7 +510,7 @@ impl Fleet {
         let tx = self.tx.clone();
         let reader = io.reader;
         std::thread::spawn(move || reader_loop(w, reader, tx));
-        self.slots.push(Some(Slot {
+        self.slots.push(Slot {
             writer: io.writer,
             kill: io.kill,
             alive: true,
@@ -568,7 +521,7 @@ impl Fleet {
             last_ping: now,
             hello_sent: now,
             hello_resends: 0,
-        }));
+        });
         self.fresh_spawns += 1;
         wlan_obs::global().event(
             wlan_obs::events::DIST_WORKER_SPAWN,
@@ -577,12 +530,25 @@ impl Fleet {
         w
     }
 
+    /// Attaches every worker queued on the joiners channel; returns
+    /// the new slot indices.
+    fn attach_joiners(&mut self, now: Instant) -> std::ops::Range<usize> {
+        let first = self.slots.len();
+        let mut ios = Vec::new();
+        if let Some(rx) = &self.joiners {
+            while let Ok(io) = rx.try_recv() {
+                ios.push(io);
+            }
+        }
+        for io in ios {
+            self.attach(io, now);
+        }
+        first..self.slots.len()
+    }
+
     /// Workers currently alive (attached and not declared dead).
     pub fn alive_workers(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.as_ref().map(|s| s.alive).unwrap_or(false))
-            .count()
+        self.slots.iter().filter(|s| s.alive).count()
     }
 
     /// Keeps an idle fleet warm between campaigns: attaches queued
@@ -593,17 +559,9 @@ impl Fleet {
     /// read deadlines instead of timing out and churning reconnects.
     pub fn idle_tick(&mut self, heartbeat_ms: u64) {
         let now = Instant::now();
-        let mut ios = Vec::new();
-        if let Some(rx) = &self.joiners {
-            while let Ok(io) = rx.try_recv() {
-                ios.push(io);
-            }
-        }
-        for io in ios {
-            self.attach(io, now);
-        }
+        self.attach_joiners(now);
         let heartbeat = Duration::from_millis(heartbeat_ms.max(1));
-        for slot in self.slots.iter_mut().flatten() {
+        for slot in self.slots.iter_mut() {
             if slot.alive && now.duration_since(slot.last_ping) >= heartbeat {
                 slot.last_ping = now;
                 if write_msg(&mut slot.writer, &Msg::Ping { n: 0 }).is_err() {
@@ -615,7 +573,7 @@ impl Fleet {
         while let Ok(ev) = self.rx.try_recv() {
             match ev {
                 Event::Eof(w) => {
-                    if let Some(Some(slot)) = self.slots.get_mut(w) {
+                    if let Some(slot) = self.slots.get_mut(w) {
                         if slot.alive {
                             slot.alive = false;
                             (slot.kill)();
@@ -623,7 +581,7 @@ impl Fleet {
                     }
                 }
                 Event::Msg(w, _) => {
-                    if let Some(Some(slot)) = self.slots.get_mut(w) {
+                    if let Some(slot) = self.slots.get_mut(w) {
                         slot.last_seen = now;
                     }
                 }
@@ -633,9 +591,9 @@ impl Fleet {
     }
 
     /// Polite shutdown frame to every live worker, then the hard kill
-    /// (which also reaps subprocesses and severs in-process pipes).
+    /// (which shuts down TCP sockets and severs in-process pipes).
     pub fn shutdown(&mut self) {
-        for slot in self.slots.iter_mut().flatten() {
+        for slot in self.slots.iter_mut() {
             if slot.alive {
                 let _ = write_msg(&mut slot.writer, &Msg::Shutdown);
                 (slot.kill)();
@@ -688,14 +646,7 @@ impl Coord<'_> {
     /// hello — a reconnecting (or brand-new) worker rejoins the pool
     /// mid-campaign as a fresh slot.
     fn drain_joiners(&mut self, now: Instant) {
-        let mut ios = Vec::new();
-        if let Some(rx) = &self.fleet.joiners {
-            while let Ok(io) = rx.try_recv() {
-                ios.push(io);
-            }
-        }
-        for io in ios {
-            let w = self.fleet.attach(io, now);
+        for w in self.fleet.attach_joiners(now) {
             self.send_hello(w, now);
         }
         self.credit_spawns();
@@ -706,9 +657,7 @@ impl Coord<'_> {
     fn send_hello(&mut self, w: usize, now: Instant) {
         let hello = self.hello_msg();
         let failed = {
-            let Some(slot) = self.fleet.slots[w].as_mut() else {
-                return;
-            };
+            let slot = &mut self.fleet.slots[w];
             if !slot.alive {
                 return;
             }
@@ -757,9 +706,7 @@ impl Coord<'_> {
     /// Declares worker `w` dead: kills it, frees its slot, and fails
     /// whatever lease it held.
     fn worker_dead(&mut self, w: usize, reason: &str, now: Instant) {
-        let Some(slot) = self.fleet.slots[w].as_mut() else {
-            return;
-        };
+        let slot = &mut self.fleet.slots[w];
         if !slot.alive {
             return;
         }
@@ -901,10 +848,9 @@ impl Coord<'_> {
     }
 
     fn handle_done(&mut self, w: usize, id: u64, rounds: Vec<RoundTally>, now: Instant) {
-        if let Some(slot) = self.fleet.slots[w].as_mut() {
-            if slot.inflight == Some(id) {
-                slot.inflight = None;
-            }
+        let slot = &mut self.fleet.slots[w];
+        if slot.inflight == Some(id) {
+            slot.inflight = None;
         }
         let Some(lease) = self.leases.get(&id) else {
             return;
@@ -937,11 +883,10 @@ impl Coord<'_> {
     }
 
     fn strike(&mut self, w: usize, now: Instant) {
-        if let Some(slot) = self.fleet.slots[w].as_mut() {
-            slot.strikes += 1;
-            if slot.strikes >= 3 {
-                self.worker_dead(w, "too many corrupt frames", now);
-            }
+        let slot = &mut self.fleet.slots[w];
+        slot.strikes += 1;
+        if slot.strikes >= 3 {
+            self.worker_dead(w, "too many corrupt frames", now);
         }
     }
 
@@ -953,15 +898,9 @@ impl Coord<'_> {
                 self.strike(w, now);
             }
             Event::Msg(w, msg) => {
-                if let Some(slot) = self.fleet.slots[w].as_mut() {
-                    slot.last_seen = now;
-                }
+                self.fleet.slots[w].last_seen = now;
                 match msg {
-                    Msg::Ready => {
-                        if let Some(slot) = self.fleet.slots[w].as_mut() {
-                            slot.ready = true;
-                        }
-                    }
+                    Msg::Ready => self.fleet.slots[w].ready = true,
                     Msg::Pong { .. } => {}
                     Msg::QuarTrial {
                         lease: id,
@@ -1118,12 +1057,12 @@ impl Coord<'_> {
         for id in due {
             // `worker_dead` clears `alive`, so a failed write naturally
             // drops that slot out of the next search.
-            let Some(w) = (0..self.fleet.slots.len()).find(|&w| {
-                self.fleet.slots[w]
-                    .as_ref()
-                    .map(|s| s.alive && s.ready && s.inflight.is_none())
-                    .unwrap_or(false)
-            }) else {
+            let Some(w) = self
+                .fleet
+                .slots
+                .iter()
+                .position(|s| s.alive && s.ready && s.inflight.is_none())
+            else {
                 break;
             };
             let Some(lease) = self.leases.get_mut(&id) else {
@@ -1135,9 +1074,7 @@ impl Coord<'_> {
                 start: lease.start,
                 end: lease.end,
             };
-            let Some(slot) = self.fleet.slots[w].as_mut() else {
-                continue;
-            };
+            let slot = &mut self.fleet.slots[w];
             if write_msg(&mut slot.writer, &msg).is_err() {
                 // The lease stays Pending (it never reached the worker,
                 // so this is not a dispatch attempt) and retries on a
@@ -1168,9 +1105,7 @@ impl Coord<'_> {
         let timeout = Duration::from_millis(self.cfg.lease_timeout_ms);
         let heartbeat = Duration::from_millis(self.cfg.heartbeat_ms.max(1));
         for w in 0..self.fleet.slots.len() {
-            let Some(slot) = self.fleet.slots[w].as_mut() else {
-                continue;
-            };
+            let slot = &mut self.fleet.slots[w];
             if !slot.alive {
                 continue;
             }
@@ -1180,10 +1115,7 @@ impl Coord<'_> {
                         slot.hello_resends += 1;
                         slot.hello_sent = now;
                         let hello = self.hello_msg();
-                        let Some(slot) = self.fleet.slots[w].as_mut() else {
-                            continue;
-                        };
-                        if write_msg(&mut slot.writer, &hello).is_err() {
+                        if write_msg(&mut self.fleet.slots[w].writer, &hello).is_err() {
                             self.worker_dead(w, "write failed", now);
                         }
                     } else {
@@ -1221,9 +1153,6 @@ impl Coord<'_> {
                 if now.duration_since(slot.last_ping) >= heartbeat {
                     slot.last_ping = now;
                     let n = now.duration_since(slot.last_seen).as_millis() as u64;
-                    let Some(slot) = self.fleet.slots[w].as_mut() else {
-                        continue;
-                    };
                     if write_msg(&mut slot.writer, &Msg::Ping { n }).is_err() {
                         self.worker_dead(w, "write failed", now);
                     }
@@ -1298,10 +1227,12 @@ impl Coord<'_> {
 /// argument, and `tests/tests/dist_chaos.rs` for the harness pinning
 /// it).
 ///
-/// This is the one-shot entry point: it spawns `cfg.workers` workers
-/// from `factory`, runs the campaign, and shuts the fleet down. To run
-/// several campaigns back-to-back on one fleet (or over TCP joiners),
-/// build a [`Fleet`] yourself and call [`run_dist_per_campaign_on`].
+/// This is the one-shot entry point: it spawns `cfg.workers` in-process
+/// workers from `factory`, runs the campaign, and shuts the fleet down.
+/// To run over TCP workers (or several campaigns back-to-back on one
+/// fleet), build a [`Fleet`] yourself — [`Fleet::from_joiners`] on an
+/// [`Acceptor`](crate::service::Acceptor)'s channel — and call
+/// [`run_dist_per_campaign_on`].
 ///
 /// # Panics
 ///
@@ -1312,7 +1243,7 @@ pub fn run_dist_per_campaign(
     link_spec: LinkSpec,
     fault_spec: FaultSpec,
     cfg: &DistConfig,
-    factory: &mut dyn WorkerFactory,
+    factory: &mut InProcessFactory,
 ) -> DistPerReport {
     let mut fleet = Fleet::spawn(cfg.workers, factory);
     let report = run_dist_per_campaign_on(link_spec, fault_spec, cfg, &mut fleet, "", None);
@@ -1387,10 +1318,12 @@ pub fn run_dist_per_campaign_on(
         stats: DistStats::default(),
         obs,
     };
-    // Take credit for the fleet's existing spawns, then (re)hello every
-    // connected worker — a fleet that just finished campaign N has
-    // slots whose per-campaign state (ready, strikes, inflight) belongs
-    // to N; the hello reset scrubs it for this campaign.
+    // Attach the workers already queued on the joiners channel and take
+    // credit for the fleet's spawns, then (re)hello every connected
+    // worker — a fleet that just finished campaign N has slots whose
+    // per-campaign state (ready, strikes, inflight) belongs to N; the
+    // hello reset scrubs it for this campaign.
+    coord.fleet.attach_joiners(start);
     coord.credit_spawns();
     for w in 0..coord.fleet.slots.len() {
         coord.send_hello(w, start);
@@ -1405,7 +1338,7 @@ pub fn run_dist_per_campaign_on(
         &[
             ("kind", json::Value::Str("dist_per".into())),
             ("link", json::Value::Str(link.name())),
-            ("workers", json::Value::U64(cfg.workers as u64)),
+            ("workers", json::Value::U64(coord.alive_workers() as u64)),
             ("banked_trials", json::Value::U64(banked)),
         ],
     );
@@ -1423,12 +1356,7 @@ pub fn run_dist_per_campaign_on(
             if !chaos_done && now.duration_since(start) >= Duration::from_millis(ms) {
                 chaos_done = true;
                 let victims: Vec<usize> = (0..coord.fleet.slots.len())
-                    .filter(|&w| {
-                        coord.fleet.slots[w]
-                            .as_ref()
-                            .map(|s| s.alive)
-                            .unwrap_or(false)
-                    })
+                    .filter(|&w| coord.fleet.slots[w].alive)
                     .take(cfg.chaos_kill_count)
                     .collect();
                 for w in victims {
@@ -2000,7 +1928,7 @@ mod tests {
         // completes on the joiner.
         let (tx, rx) = mpsc::channel();
         let mut factory = InProcessFactory::clean();
-        let io = factory.spawn(0).expect("in-process spawn is infallible");
+        let io = factory.spawn(0);
         tx.send(io).expect("queue the joiner");
 
         let baseline = run_per_campaign(
@@ -2031,9 +1959,9 @@ mod tests {
 
         let (tx, rx) = mpsc::channel();
         let mut factory = InProcessFactory::clean();
-        let first = factory.spawn(0).expect("spawn");
+        let first = factory.spawn(0);
         tx.send(first).expect("queue the first worker");
-        let late = factory.spawn(1).expect("spawn");
+        let late = factory.spawn(1);
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
             let _ = tx.send(late);
@@ -2048,6 +1976,64 @@ mod tests {
         assert!(report.outcome.is_complete(), "{:?}", report.outcome);
         assert_eq!(report.points, baseline.points);
         assert!(report.stats.workers_spawned >= 1);
+    }
+
+    /// A TCP fleet is built with `DistConfig::new(per, 0)` and its
+    /// workers arrive as joiners, so `campaign_start` must count the
+    /// fleet, not `cfg.workers`. (Regression: every served campaign
+    /// reported `workers: 0`.)
+    #[test]
+    fn campaign_start_reports_the_attached_fleet() {
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Clone)]
+        struct Capture(Arc<Mutex<Vec<u8>>>);
+        impl Write for Capture {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                self.0
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .extend_from_slice(data);
+                Ok(data.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let capture = Capture(Arc::new(Mutex::new(Vec::new())));
+        let obs = wlan_obs::global();
+        obs.set_enabled(true);
+        obs.set_sink(Box::new(capture.clone()));
+
+        let (tx, rx) = mpsc::channel();
+        let mut factory = InProcessFactory::clean();
+        for id in 0..2 {
+            tx.send(factory.spawn(id)).expect("queue a joiner");
+        }
+        // No other test in this crate runs CCK-11, so its link name
+        // singles this campaign's events out of the shared global sink.
+        let spec = LinkSpec::Dsss(wlan_core::dsss::DsssRate::Cck11M);
+        let per = PerCampaignConfig::new(&[8.0], 20, 64, 5)
+            .with_budget(Budget::unlimited())
+            .with_threads(1);
+        let cfg = DistConfig::new(per, 0).without_fallback();
+        let mut fleet = Fleet::from_joiners(rx);
+        let report = run_dist_per_campaign_on(spec, FaultSpec::Clean, &cfg, &mut fleet, "", None);
+        fleet.shutdown();
+        assert!(report.outcome.is_complete(), "{:?}", report.outcome);
+
+        let link = spec.build().name();
+        let text = String::from_utf8(capture.0.lock().expect("capture").clone()).expect("utf8");
+        let starts: Vec<json::Value> = text
+            .lines()
+            .filter_map(|l| json::Value::parse(l).ok())
+            .filter(|v| {
+                v.get("event").and_then(json::Value::as_str) == Some("campaign_start")
+                    && v.get("link").and_then(json::Value::as_str) == Some(link.as_str())
+            })
+            .collect();
+        assert_eq!(starts.len(), 1, "{text}");
+        assert_eq!(starts[0].get("workers").and_then(json::Value::as_u64), Some(2));
     }
 
     #[test]

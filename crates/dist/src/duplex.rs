@@ -2,9 +2,9 @@
 //!
 //! The chaos harness needs to run a *real* coordinator against *real*
 //! workers under deterministic transport faults, without the
-//! nondeterminism (and per-test cost) of spawning subprocesses. These
-//! pipes give worker threads the same blocking `Read`/`Write` interface
-//! a subprocess's stdio has — including the failure modes that matter:
+//! nondeterminism (and per-test cost) of worker processes on sockets.
+//! These pipes give worker threads the same blocking `Read`/`Write`
+//! interface a TCP socket has — including the failure modes that matter:
 //! reads return `Ok(0)` (EOF) once the write side is gone, writes fail
 //! with `BrokenPipe` once the read side is gone, and a [`PipeCloser`]
 //! can sever a pipe from a third thread, which is how the in-process
@@ -48,8 +48,8 @@ pub struct PipeReader {
 }
 
 /// A handle that severs a pipe from any thread: readers see EOF,
-/// writers see `BrokenPipe` — exactly what killing a subprocess does to
-/// its stdio.
+/// writers see `BrokenPipe` — exactly what a worker process dying does
+/// to its socket.
 #[derive(Clone)]
 pub struct PipeCloser {
     shared: Shared,

@@ -3,8 +3,8 @@
 //! Shards `wlan-runner` Monte-Carlo campaigns across a fleet of worker
 //! processes that are allowed to die. A coordinator owns all campaign
 //! state and hands out wave-aligned `(point, trial-range)` leases over
-//! a length-prefixed, checksummed stdio protocol; workers are pure
-//! functions of the lease coordinates, so any lease can be re-run
+//! a length-prefixed, checksummed frame protocol on TCP; workers are
+//! pure functions of the lease coordinates, so any lease can be re-run
 //! anywhere — on another worker after a `SIGKILL`, or in-process once
 //! the whole fleet is gone — and the campaign's tallies, stopping
 //! decisions, and quarantine ledger come out bit-identical to the
@@ -24,8 +24,8 @@
 //!   at-most-K re-dispatch, lease quarantine (reusing the PR-4 ledger
 //!   idea one level up), and graceful degradation to in-process
 //!   execution.
-//! * **TCP fleets** ([`transport`]): the same frames over
-//!   `std::net::TcpStream` for multi-machine fleets — a versioned
+//! * **TCP fleets** ([`transport`]): the frames over
+//!   `std::net::TcpStream`, the one transport between processes — a versioned
 //!   handshake carrying the catalog digest (mismatch is a typed
 //!   [`ProtoError::Incompatible`]), read deadlines, `TCP_NODELAY`, and
 //!   DCF-style seeded reconnect backoff on the worker side.
@@ -38,7 +38,7 @@
 //! * **Chaos tooling** ([`duplex`], [`catalog`]): in-memory pipes and
 //!   deterministic fault-injecting relays so the whole stack is
 //!   testable under kill schedules and transport corruption without
-//!   subprocess nondeterminism.
+//!   the timing nondeterminism of real processes and sockets.
 
 #![warn(missing_docs)]
 
@@ -53,11 +53,11 @@ pub mod worker;
 pub use catalog::{catalog_digest, FaultSpec, LinkSpec};
 pub use coord::{
     run_dist_per_campaign, run_dist_per_campaign_on, DistConfig, DistPerReport, DistStats, Fleet,
-    InProcessFactory, ProcessFactory, QuarantinedLease, WorkerFactory, WorkerIo,
+    InProcessFactory, QuarantinedLease, WorkerIo,
 };
 pub use proto::{Msg, ProtoError, RoundTally};
 pub use service::{run_campaign_service, Acceptor, ServeCampaign, ServeConfig, ServeReport};
 pub use transport::{
-    connect_role, connect_worker, run_tcp_worker, server_handshake, Role, Transport, WorkerOpts,
+    connect_role, connect_worker, run_tcp_worker, server_handshake, Role, WorkerOpts,
 };
 pub use worker::{run_lease, serve, LeaseJob, ServeEnd};

@@ -16,9 +16,10 @@
 //!
 //! # Corruption model
 //!
-//! The transport under this protocol is a pipe pair to a subprocess —
-//! or, in the chaos harness, a relay deliberately dropping, duplicating,
-//! truncating and bit-flipping frames ([`wlan_fault::TransportFaults`]).
+//! The transport under this protocol is a TCP socket to a worker
+//! process — or, in the chaos harness, a relay deliberately dropping,
+//! duplicating, truncating and bit-flipping frames
+//! ([`wlan_fault::TransportFaults`]).
 //! The framing is designed so any such damage is *detected and
 //! contained to one frame*:
 //!

@@ -47,7 +47,7 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// State shared between the service loop, the accept loop, and every
 /// per-connection handler thread.
 struct Shared {
-    /// Set by a control client's shutdown frame (or [`Acceptor::request_stop`]).
+    /// Set by a control client's shutdown frame.
     stop: AtomicBool,
     /// Cleared when the acceptor closes; the accept loop exits on the
     /// next connection instead of handling it.
@@ -122,16 +122,9 @@ impl Acceptor {
         self.local_addr.to_string()
     }
 
-    /// Whether a shutdown has been requested (control frame or
-    /// [`Acceptor::request_stop`]).
+    /// Whether a control client has requested a shutdown.
     pub fn stop_requested(&self) -> bool {
         self.shared.stop.load(Ordering::SeqCst)
-    }
-
-    /// Requests a drain, exactly as a control client's shutdown frame
-    /// would.
-    pub fn request_stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
     }
 
     /// Stops accepting connections and waits for the accept loop to

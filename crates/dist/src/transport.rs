@@ -1,13 +1,13 @@
-//! TCP transport for multi-machine worker fleets.
+//! TCP transport: the one way worker processes join a fleet.
 //!
 //! The frame protocol in [`proto`](crate::proto) is deliberately
 //! transport-agnostic: newline-delimited, length-prefixed, checksummed
-//! byte lines that work identically over stdio pipes, in-memory duplex
-//! pairs, and — here — `std::net::TcpStream`. This module adds the three
-//! things a socket needs that a pipe does not:
+//! byte lines that work identically over the in-memory duplex pairs of
+//! the test fleet and — here — `std::net::TcpStream`. This module adds
+//! the three things a socket needs that an in-memory pipe does not:
 //!
-//! 1. **A handshake.** A pipe's two ends are the same binary by
-//!    construction; a socket's are not. Before any protocol frame flows,
+//! 1. **A handshake.** An in-memory pipe's two ends are the same binary
+//!    by construction; a socket's are not. Before any protocol frame flows,
 //!    the connecting side sends `connect v=<version> catalog=<digest>
 //!    role=<role>` and the accepting side answers `accept …` or
 //!    `reject …`. A version or catalog mismatch is a typed
@@ -35,7 +35,6 @@ use std::time::Duration;
 use wlan_math::rng::{Rng, WlanRng};
 
 use crate::catalog::catalog_digest;
-use crate::coord::WorkerIo;
 use crate::proto::{encode_frame, read_frame, ProtoError};
 use crate::worker::{serve, ServeEnd};
 
@@ -320,79 +319,6 @@ pub fn server_handshake(
             })
         }
         None => Err(ProtoError::Malformed),
-    }
-}
-
-/// A connected, handshaken duplex stream carrying the frame protocol —
-/// what the coordinator plugs into its fleet. [`TcpTransport`] is the
-/// socket implementation; stdio pipes and the in-memory duplex satisfy
-/// the same contract directly through
-/// [`WorkerFactory`](crate::coord::WorkerFactory).
-pub trait Transport {
-    /// Human-readable peer identity for logs and `conn_*` events.
-    fn peer(&self) -> String;
-    /// Splits into the coordinator-facing halves plus a kill hook that
-    /// unblocks the peer's reader (socket shutdown, pipe close, …).
-    fn into_worker_io(self: Box<Self>) -> WorkerIo;
-}
-
-/// A handshaken TCP connection as a coordinator-side [`Transport`].
-pub struct TcpTransport {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    peer: String,
-}
-
-impl TcpTransport {
-    /// Wraps the halves [`server_handshake`] returned.
-    pub fn new(reader: BufReader<TcpStream>, writer: TcpStream) -> Self {
-        let peer = writer
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "unknown".to_owned());
-        Self {
-            reader,
-            writer,
-            peer,
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
-
-    fn into_worker_io(self: Box<Self>) -> WorkerIo {
-        let closer = self.writer.try_clone().ok();
-        WorkerIo {
-            writer: Box::new(self.writer),
-            reader: Box::new(self.reader),
-            kill: Box::new(move || {
-                if let Some(s) = &closer {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                }
-            }),
-        }
-    }
-}
-
-/// Any paired reader/writer (stdio, duplex pipes) as a [`Transport`]
-/// with a caller-supplied kill hook.
-pub struct PipeTransport {
-    /// Peer label for logs.
-    pub label: String,
-    /// The already-connected I/O.
-    pub io: WorkerIo,
-}
-
-impl Transport for PipeTransport {
-    fn peer(&self) -> String {
-        self.label.clone()
-    }
-
-    fn into_worker_io(self: Box<Self>) -> WorkerIo {
-        self.io
     }
 }
 

@@ -1,11 +1,11 @@
 //! The worker side of a distributed campaign.
 //!
-//! A worker is the same binary as the coordinator, re-invoked in worker
-//! mode: it reads protocol frames from stdin, runs leased trial ranges,
-//! and writes results to stdout. It holds *no* campaign state beyond
-//! the `hello` configuration — every lease names its exact trial range,
-//! so a worker can die at any instant and lose nothing the coordinator
-//! cannot re-dispatch.
+//! A worker ([`serve`]) reads protocol frames from its input stream (a
+//! TCP socket, or an in-memory pipe in the test fleet), runs leased
+//! trial ranges, and writes results to its output stream. It holds *no*
+//! campaign state beyond the `hello` configuration — every lease names
+//! its exact trial range, so a worker can die at any instant and lose
+//! nothing the coordinator cannot re-dispatch.
 //!
 //! Workers are deliberately forgiving on input: a damaged frame (the
 //! chaos relay bit-flips and truncates) is skipped, not fatal — the

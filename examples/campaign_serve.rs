@@ -3,9 +3,9 @@
 //! * `--serve` — bind `WLAN_DIST_ADDR` (or `--addr`), accept TCP
 //!   workers, run the queued campaigns back-to-back on one persistent
 //!   fleet, drain on a shutdown frame. Result tables go to stdout in
-//!   queue order and must be byte-identical to the same campaigns run
-//!   by `distributed_campaign` over stdio pipes — ci.sh diffs exactly
-//!   that, across worker kills and a SIGKILL of the service itself.
+//!   queue order and must be byte-identical whatever the fleet does —
+//!   ci.sh diffs a 1-worker run against runs that lose workers, restart
+//!   them, or SIGKILL the service itself and resume it.
 //! * `--tcp-worker` — dial the service (with reconnect/backoff) and
 //!   serve leases until the fleet shuts down. `--die-after-ms` arms a
 //!   crash timer for the chaos smokes.
@@ -114,10 +114,9 @@ fn parse_args() -> Args {
     args
 }
 
-/// Queue slot `q`'s campaign: the same R12 waterfall the
-/// `distributed_campaign` example runs (so slot 0's table diffs clean
-/// against it), with the seed stepped per slot so queued campaigns are
-/// distinct work rather than re-runs.
+/// Queue slot `q`'s campaign: the R12 waterfall of the
+/// `survivable_campaign` example, with the seed stepped per slot so
+/// queued campaigns are distinct work rather than re-runs.
 fn campaign_for_slot(q: usize, journal_dir: Option<&str>) -> ServeCampaign {
     let snrs: Vec<f64> = (0..6).map(|i| 1.0 + i as f64).collect();
     let mut per =

@@ -1,59 +1,36 @@
 //! Kill-and-resume demonstrator for the ci.sh smoke test.
 //!
-//! Runs a PER campaign with a checkpoint journal and prints the final
-//! result table to stdout; progress chatter goes to stderr. The campaign
-//! is deliberately sized so a `SIGKILL` a fraction of a second in lands
-//! mid-flight; rerunning with the same journal path resumes from the
-//! last checkpoint and must produce *byte-identical stdout* to a run
-//! that was never interrupted — that `diff` is exactly what
-//! `ci.sh` performs.
-//!
-//! With `--workers N` the same campaign runs sharded over N worker
-//! subprocesses (this binary re-invoked with `--worker`) through
-//! `wlan-dist`; the coordinator's bit-identity contract means the table
-//! still comes out byte-identical to the single-process run.
+//! Runs a single-process PER campaign with a checkpoint journal and
+//! prints the final result table to stdout; progress chatter goes to
+//! stderr. The campaign is deliberately sized so a `SIGKILL` a fraction
+//! of a second in lands mid-flight; rerunning with the same journal path
+//! resumes from the last checkpoint and must produce *byte-identical
+//! stdout* to a run that was never interrupted — that `diff` is exactly
+//! what `ci.sh` performs. (The same campaign sharded over TCP workers is
+//! `campaign_serve`.)
 //!
 //! Usage:
-//!   survivable_campaign <journal-path> [--workers N]
-//!   survivable_campaign --worker        (internal: worker mode)
+//!   survivable_campaign <journal-path>
 
 use std::io::Write;
 
 use wlan_core::fault::FaultChain;
 use wlan_core::linksim::OfdmLink;
 use wlan_core::ofdm::OfdmRate;
-use wlan_dist::{run_dist_per_campaign, DistConfig, FaultSpec, LinkSpec, ProcessFactory};
 use wlan_runner::per::{run_per_campaign, PerCampaignConfig, PointProgress};
 use wlan_runner::{Outcome, Resume};
 
 fn usage() -> ! {
-    eprintln!("usage: survivable_campaign <journal-path> [--workers N]");
+    eprintln!("usage: survivable_campaign <journal-path>");
     std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--worker") {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        wlan_dist::serve(stdin.lock(), stdout.lock());
-        return;
+    let [journal] = args.as_slice() else { usage() };
+    if journal.starts_with("--") {
+        usage();
     }
-
-    let mut journal: Option<String> = None;
-    let mut workers: usize = 0;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => workers = n,
-                None => usage(),
-            },
-            other if !other.starts_with("--") => journal = Some(other.to_owned()),
-            _ => usage(),
-        }
-    }
-    let Some(journal) = journal else { usage() };
 
     // The R12 waterfall region: PER mid-range, so the Wilson interval is
     // at its widest and the 0.02 target needs a few thousand frames per
@@ -63,50 +40,10 @@ fn main() {
         .with_journal(journal.into())
         .with_target_half_width(0.02);
 
-    let (resume, outcome, name, fault, points, quarantined) = if workers == 0 {
-        let link = OfdmLink::awgn(OfdmRate::R12);
-        let report = run_per_campaign(&link, &FaultChain::clean(), &cfg);
-        (
-            report.resume,
-            report.outcome,
-            report.name,
-            report.fault,
-            report.points,
-            report.quarantine.len(),
-        )
-    } else {
-        let Ok(exe) = std::env::current_exe() else {
-            eprintln!("cannot locate own executable for worker re-invocation");
-            std::process::exit(2);
-        };
-        let mut factory = ProcessFactory {
-            program: exe,
-            args: vec!["--worker".to_owned()],
-        };
-        let dist = DistConfig::new(cfg, workers)
-            .with_lease_timeout_ms(10_000)
-            .with_heartbeat_ms(200);
-        let report = run_dist_per_campaign(
-            LinkSpec::Ofdm(OfdmRate::R12),
-            FaultSpec::Clean,
-            &dist,
-            &mut factory,
-        );
-        eprintln!(
-            "fleet: {} spawned, {} died, {} redispatches",
-            report.stats.workers_spawned, report.stats.worker_deaths, report.stats.redispatches,
-        );
-        (
-            report.resume,
-            report.outcome,
-            report.name,
-            report.fault,
-            report.points,
-            report.quarantine.len(),
-        )
-    };
+    let link = OfdmLink::awgn(OfdmRate::R12);
+    let report = run_per_campaign(&link, &FaultChain::clean(), &cfg);
 
-    match &resume {
+    match &report.resume {
         Resume::Fresh => eprintln!("started fresh"),
         Resume::Resumed { trials } => eprintln!("resumed with {trials} trials banked"),
         Resume::Salvaged { trials, error } => {
@@ -114,7 +51,7 @@ fn main() {
         }
         Resume::ColdStart { error } => eprintln!("cold start: {error}"),
     }
-    match &outcome {
+    match &report.outcome {
         Outcome::Complete => eprintln!("campaign complete"),
         Outcome::Partial {
             completed,
@@ -123,17 +60,21 @@ fn main() {
         } => eprintln!("partial: {completed} done, <= {remaining} to go ({reason})"),
     }
 
-    print_table(&name, &fault, &points, quarantined);
+    print_table(
+        &report.name,
+        &report.fault,
+        &report.points,
+        report.quarantine.len(),
+    );
 
-    if !outcome.is_complete() {
+    if !report.outcome.is_complete() {
         // Let the resume loop in ci.sh know there is more to do.
         std::process::exit(3);
     }
 }
 
-// The deterministic result table: stdout only, no timing, no paths, no
-// fleet state — byte-identical across resume schedules and worker
-// counts.
+// The deterministic result table: stdout only, no timing, no paths —
+// byte-identical across resume schedules.
 fn print_table(name: &str, fault: &str, points: &[PointProgress], quarantined: usize) {
     let mut out = std::io::stdout().lock();
     let _ = writeln!(out, "campaign {name} / {fault}");
