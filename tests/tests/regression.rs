@@ -405,3 +405,127 @@ fn erased_pipelines_never_masquerade_as_zero_per() {
     assert_eq!((vac.lo, vac.hi), (0.0, 1.0));
     assert!(wlan_core::math::ci::hoeffding_half_width(0, 0.05).is_infinite());
 }
+
+/// FNV-1a-64 fold over 64-bit words (each word's eight little-endian
+/// bytes): the digest the bit-pattern pins below accumulate.
+fn fnv_fold(h: u64, word: u64) -> u64 {
+    word.to_le_bytes()
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fold_samples(h: u64, samples: &[wlan_core::math::Complex]) -> u64 {
+    samples
+        .iter()
+        .fold(h, |h, s| fnv_fold(fnv_fold(h, s.re.to_bits()), s.im.to_bits()))
+}
+
+/// Bit-pattern pin of the OFDM transmit chain: one digest per rate over
+/// the exact `f64` bits of every sample `OfdmPhy::transmit` emits for
+/// payloads of 1, 2, 7, 100, 333, 1200, 1500 and 4095 bytes (4095 is the
+/// largest the 12-bit LENGTH field carries). Any reordering of the
+/// scrambler, encoder, puncturer, interleaver, mapper or IFFT arithmetic
+/// moves a digest.
+#[test]
+fn golden_ofdm_transmit_digest() {
+    use wlan_core::math::rng::Rng;
+    use wlan_core::ofdm::{OfdmPhy, OfdmRate};
+    let want: [u64; 8] = [
+        0x8b4d39317285ad29,
+        0x66cc312c41d64181,
+        0x4a7d990702e66138,
+        0x9100ef5414feef66,
+        0x54a1fc1ff8faa88a,
+        0x03a63aa7f3cf71e8,
+        0x99b0830c5116d9b4,
+        0x416dcbcf54c1a13a,
+    ];
+    let mut got = [0u64; 8];
+    for (slot, rate) in got.iter_mut().zip(OfdmRate::all()) {
+        let phy = OfdmPhy::new(rate);
+        let mut rng = WlanRng::seed_from_u64(0x7a11);
+        let mut h = FNV_OFFSET;
+        for len in [1usize, 2, 7, 100, 333, 1200, 1500, 4095] {
+            let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            h = fold_samples(fnv_fold(h, len as u64), &phy.transmit(&payload));
+        }
+        *slot = h;
+    }
+    assert_eq!(got, want, "transmit digests {got:#018x?}");
+}
+
+/// Bit-pattern pin of `FftPlan`: forward and inverse batches of three
+/// blocks for every power-of-two length from 1 to 256.
+#[test]
+fn golden_fft_batch_digest() {
+    use wlan_core::math::fft::FftPlan;
+    use wlan_core::math::rng::Rng;
+    use wlan_core::math::Complex;
+    let mut rng = WlanRng::seed_from_u64(0xff7);
+    let mut h = FNV_OFFSET;
+    for log2 in 0..=8 {
+        let n = 1usize << log2;
+        let plan = FftPlan::new(n);
+        let x: Vec<Complex> = (0..3 * n)
+            .map(|_| Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+            .collect();
+        let mut fwd = x.clone();
+        plan.fft_batch(&mut fwd);
+        let mut inv = x;
+        plan.ifft_batch(&mut inv);
+        h = fold_samples(fold_samples(fnv_fold(h, n as u64), &fwd), &inv);
+    }
+    assert_eq!(h, 0x9ff4_e29f_7188_3b09, "fft digest {h:#018x}");
+}
+
+/// Bit-pattern pin of the OFDM receive chain: per rate, frames through a
+/// fixed three-tap channel plus AWGN at three SNRs around the rate's
+/// waterfall, so the digest covers decoded payloads that carry residual
+/// bit errors (and so every LLR the equalizer, demapper and Viterbi
+/// decoder produce) as well as clean ones.
+#[test]
+fn golden_ofdm_receive_digest() {
+    use wlan_core::channel::{Awgn, MultipathChannel};
+    use wlan_core::math::rng::Rng;
+    use wlan_core::math::Complex;
+    use wlan_core::ofdm::{OfdmPhy, OfdmRate};
+    let ch = MultipathChannel::from_taps(vec![
+        Complex::new(0.85, 0.1),
+        Complex::new(0.0, -0.4),
+        Complex::new(0.2, 0.15),
+    ]);
+    let base_snr = [3.0, 5.0, 6.0, 9.0, 12.0, 15.0, 19.0, 21.0];
+    let want: [u64; 8] = [
+        0xf76429dce49f8b92,
+        0x4d13447dd52b8686,
+        0x6f220ff057058f2c,
+        0x491dcdd1a133a67d,
+        0xfa2a5436a6da9717,
+        0x2d5eceb62c4f5ae3,
+        0x7d8dc13495a183e7,
+        0x6647a05625500da2,
+    ];
+    let mut got = [0u64; 8];
+    for ((slot, rate), base) in got.iter_mut().zip(OfdmRate::all()).zip(base_snr) {
+        let phy = OfdmPhy::new(rate);
+        let mut rng = WlanRng::seed_from_u64(0x2ec5);
+        let mut h = FNV_OFFSET;
+        for snr_db in [base - 2.0, base, base + 2.0] {
+            for len in [1usize, 333] {
+                let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                let frame = phy.transmit(&payload);
+                let mut rx = ch.filter(&frame);
+                rx.truncate(frame.len());
+                let noisy = Awgn::from_snr_db(snr_db).apply(&rx, &mut rng);
+                h = match phy.receive(&noisy) {
+                    Ok(bytes) => bytes.iter().fold(fnv_fold(h, 1), |h, &b| fnv_fold(h, b as u64)),
+                    Err(e) => fnv_fold(h, 2 + e as u64),
+                };
+            }
+        }
+        *slot = h;
+    }
+    assert_eq!(got, want, "receive digests {got:#018x?}");
+}
