@@ -45,6 +45,7 @@ impl ConvEncoder {
     /// # Panics
     ///
     /// Panics if `bit` is not 0 or 1.
+    #[inline]
     pub fn push(&mut self, bit: u8) -> (u8, u8) {
         assert!(bit <= 1, "input bits must be 0 or 1");
         // Shift register holds the current bit in the MSB position.

@@ -65,6 +65,13 @@ impl Interleaver {
         self.n_cbps
     }
 
+    /// The forward permutation: output position `k` carries input bit
+    /// `forward_map()[k]`. Lets a caller compose the interleaver with other
+    /// per-symbol index maps into one gather table.
+    pub fn forward_map(&self) -> &[usize] {
+        &self.forward
+    }
+
     /// Interleaves exactly one symbol worth of bits.
     ///
     /// # Panics

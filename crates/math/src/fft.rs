@@ -31,8 +31,9 @@ pub fn is_power_of_two(n: usize) -> bool {
 ///
 /// Holds the bit-reversal swap list and per-stage twiddle tables, so
 /// executing a transform performs no allocation and no trigonometry. One
-/// plan serves both directions: the inverse conjugates the tabulated
-/// twiddles (exact) and applies the 1/N normalization.
+/// plan serves both directions: the inverse reads a second table holding
+/// the conjugated forward twiddles (exact) and applies the 1/N
+/// normalization.
 ///
 /// # Examples
 ///
@@ -53,6 +54,8 @@ pub struct FftPlan {
     /// Forward twiddles `e^{-2πik/len}`, stage `len` at offset `len/2 - 1`
     /// holding `len/2` entries (total `n − 1`).
     twiddles: Vec<Complex>,
+    /// The conjugates of `twiddles` (same layout), read by the inverse.
+    inv_twiddles: Vec<Complex>,
 }
 
 impl FftPlan {
@@ -85,7 +88,13 @@ impl FftPlan {
             }
             len <<= 1;
         }
-        FftPlan { n, swaps, twiddles }
+        let inv_twiddles = twiddles.iter().map(|w| w.conj()).collect();
+        FftPlan {
+            n,
+            swaps,
+            twiddles,
+            inv_twiddles,
+        }
     }
 
     /// Like [`FftPlan::new`], but a non-power-of-two length returns a typed
@@ -118,29 +127,25 @@ impl FftPlan {
         }
     }
 
-    /// Danielson-Lanczos butterflies over one `n`-sample block; `inverse`
-    /// conjugates the tabulated forward twiddles (exact, no extra tables).
+    /// Danielson-Lanczos butterflies over one `n`-sample block, stage by
+    /// stage: each stage walks its blocks as split `(lo, hi)` halves zipped
+    /// with that stage's twiddle run, so the inner loop carries no index
+    /// arithmetic or bounds checks.
     #[inline]
-    fn butterflies(&self, data: &mut [Complex], inverse: bool) {
-        let n = self.n;
-        let mut len = 2;
-        let mut stage = 0usize;
-        while len <= n {
-            let half = len / 2;
-            let stage_tw = &self.twiddles[stage..stage + half];
-            let mut i = 0;
-            while i < n {
-                for (k, &tw) in stage_tw.iter().enumerate() {
-                    let w = if inverse { tw.conj() } else { tw };
-                    let u = data[i + k];
-                    let v = data[i + k + half] * w;
-                    data[i + k] = u + v;
-                    data[i + k + half] = u - v;
+    fn butterflies(&self, data: &mut [Complex], twiddles: &[Complex]) {
+        let mut half = 1;
+        while half < self.n {
+            let stage_tw = &twiddles[half - 1..2 * half - 1];
+            for block in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage_tw) {
+                    let u = *a;
+                    let v = *b * w;
+                    *a = u + v;
+                    *b = u - v;
                 }
-                i += len;
             }
-            stage += half;
-            len <<= 1;
+            half <<= 1;
         }
     }
 
@@ -149,12 +154,14 @@ impl FftPlan {
             return;
         }
         self.permute(data);
-        self.butterflies(data, inverse);
         if inverse {
+            self.butterflies(data, &self.inv_twiddles);
             let scale = 1.0 / self.n as f64;
             for v in data.iter_mut() {
                 *v = v.scale(scale);
             }
+        } else {
+            self.butterflies(data, &self.twiddles);
         }
     }
 

@@ -12,16 +12,18 @@
 //! The receiver estimates the channel from the LTF, decodes SIGNAL to learn
 //! rate and length, then equalizes and soft-decodes the data field.
 
-use crate::params::{OfdmRate, N_SYM_SAMPLES};
+use crate::params::{OfdmRate, N_DATA, N_FFT, N_SYM_SAMPLES};
 use crate::preamble;
 use crate::qam;
 use crate::symbol::{
-    assemble_symbol, disassemble_symbol, disassemble_symbols_into, DisassemblyScratch,
+    assemble_symbol, data_bins, disassemble_symbol, disassemble_symbols_into, emit_symbol,
+    DisassemblyScratch,
 };
+use std::sync::OnceLock;
 use wlan_coding::interleaver::Interleaver;
-use wlan_coding::puncture::{depuncture, puncture};
 use wlan_coding::scrambler::Scrambler;
-use wlan_coding::{bits, ConvEncoder, ViterbiDecoder};
+use wlan_coding::{ConvEncoder, ViterbiDecoder};
+use wlan_math::fft::{self, FftPlan};
 use wlan_math::Complex;
 
 /// Errors the receive chain can report.
@@ -64,7 +66,6 @@ impl std::error::Error for RxError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OfdmPhy {
     rate: OfdmRate,
-    scrambler_seed: u8,
 }
 
 /// Number of preamble samples (STF + LTF).
@@ -73,15 +74,81 @@ pub const PREAMBLE_SAMPLES: usize = 320;
 pub const SIGNAL_OFFSET: usize = PREAMBLE_SAMPLES;
 /// Sample offset of the first data symbol.
 pub const DATA_OFFSET: usize = PREAMBLE_SAMPLES + N_SYM_SAMPLES;
+/// Largest payload in bytes the 12-bit SIGNAL LENGTH field can carry.
+pub const MAX_PAYLOAD: usize = 4095;
+
+/// The data-field scrambler seed (the standard's example value).
+const SCRAMBLER_SEED: u8 = 0x5D;
+
+/// One 127-bit period of the data-field scrambler sequence.
+fn scrambler_sequence() -> &'static [u8; 127] {
+    static SEQ: OnceLock<[u8; 127]> = OnceLock::new();
+    SEQ.get_or_init(|| {
+        let mut seq = [0u8; 127];
+        let mut lfsr = Scrambler::new(SCRAMBLER_SEED);
+        for bit in seq.iter_mut() {
+            *bit = lfsr.next_bit();
+        }
+        seq
+    })
+}
+
+/// The 320 preamble samples (STF ‖ LTF) every frame starts with.
+fn preamble_samples() -> &'static [Complex] {
+    static PREAMBLE: OnceLock<Vec<Complex>> = OnceLock::new();
+    PREAMBLE.get_or_init(|| {
+        let mut samples = preamble::short_training_field();
+        samples.extend(preamble::long_training_field());
+        samples
+    })
+}
+
+/// The data-field tables of one rate, built once per process.
+///
+/// Every data symbol carries `2·N_DBPS` mother-code bits, a whole number of
+/// puncturing periods at every rate, so puncturing and interleaving reduce
+/// to one per-symbol index map.
+struct RateTables {
+    /// Mother-code offset (within the symbol's `2·N_DBPS` mother bits) of
+    /// each interleaved coded bit: the interleaver composed with the
+    /// puncturer's kept positions. Subcarrier `c` carries coded bits
+    /// `c·N_BPSC .. (c+1)·N_BPSC`.
+    gather: Vec<usize>,
+    /// Constellation point of each `N_BPSC`-bit label, bit `t` of the index
+    /// being label bit `t`, as `qam::map_bits` maps it.
+    points: Vec<Complex>,
+}
+
+impl RateTables {
+    fn new(rate: OfdmRate) -> Self {
+        let modulation = rate.modulation();
+        let bpsc = modulation.bits_per_subcarrier();
+        let pattern = rate.code_rate().pattern();
+        let kept: Vec<usize> = (0..2 * rate.data_bits_per_symbol())
+            .filter(|&m| pattern[m % pattern.len()])
+            .collect();
+        let il = Interleaver::new(rate.coded_bits_per_symbol(), bpsc);
+        let gather = il.forward_map().iter().map(|&k| kept[k]).collect();
+        let points = (0..1usize << bpsc)
+            .map(|label| {
+                let bits: Vec<u8> = (0..bpsc).map(|t| ((label >> t) & 1) as u8).collect();
+                qam::map_bits(modulation, &bits)
+            })
+            .collect();
+        RateTables { gather, points }
+    }
+
+    fn get(rate: OfdmRate) -> &'static RateTables {
+        static TABLES: [OnceLock<RateTables>; 8] = [const { OnceLock::new() }; 8];
+        TABLES[rate as usize].get_or_init(|| RateTables::new(rate))
+    }
+}
 
 impl OfdmPhy {
     /// Creates a PHY at the given rate (scrambler seed 0x5D, the standard's
     /// example value).
     pub fn new(rate: OfdmRate) -> Self {
-        OfdmPhy {
-            rate,
-            scrambler_seed: 0x5D,
-        }
+        OfdmPhy { rate }
     }
 
     /// The configured rate.
@@ -109,14 +176,13 @@ impl OfdmPhy {
     ///
     /// # Panics
     ///
-    /// Panics if `payload.len() >= 4096` (the 12-bit LENGTH limit).
+    /// Panics if `payload.len() > MAX_PAYLOAD` (the 12-bit LENGTH limit).
     pub fn transmit(&self, payload: &[u8]) -> Vec<Complex> {
-        assert!(payload.len() < 4096, "LENGTH field is 12 bits");
+        assert!(payload.len() <= MAX_PAYLOAD, "LENGTH field is 12 bits");
         let mut samples = Vec::with_capacity(self.frame_samples(payload.len()));
-        samples.extend(preamble::short_training_field());
-        samples.extend(preamble::long_training_field());
+        samples.extend_from_slice(preamble_samples());
         samples.extend(self.encode_signal(payload.len()));
-        samples.extend(self.encode_data(payload));
+        self.encode_data(payload, &fft::cached_plan(N_FFT), &mut samples);
         samples
     }
 
@@ -200,68 +266,90 @@ impl OfdmPhy {
         Ok((rate, length))
     }
 
-    fn encode_data(&self, payload: &[u8]) -> Vec<Complex> {
+    /// Appends the `N_SYM` data symbols of `payload` to `out`, one
+    /// 64-bin stack buffer and one planned IFFT per symbol.
+    ///
+    /// Per data bit `i` of `SERVICE(16) ‖ payload ‖ TAIL(6) ‖ PAD`: XOR the
+    /// scrambler sequence, except that the six tail bits are zero *after*
+    /// scrambling (§17.3.5.2) so the trellis is driven to a known state at
+    /// that point; then the rate-1/2 encoder. Each subcarrier's label is
+    /// gathered from the symbol's mother bits through the rate table.
+    fn encode_data(&self, payload: &[u8], plan: &FftPlan, out: &mut Vec<Complex>) {
+        let tables = RateTables::get(self.rate);
+        let bpsc = self.rate.modulation().bits_per_subcarrier();
         let ndbps = self.rate.data_bits_per_symbol();
-        let n_sym = self.num_data_symbols(payload.len());
-        let total_bits = n_sym * ndbps;
-
-        // SERVICE ‖ payload ‖ TAIL ‖ PAD.
-        let mut data_bits = vec![0u8; 16];
-        data_bits.extend(bits::bytes_to_bits(payload));
-        let tail_start = data_bits.len();
-        data_bits.resize(total_bits, 0);
-
-        let mut scrambled = Scrambler::new(self.scrambler_seed).scramble(&data_bits);
-        // §17.3.5.2: the six tail bits are zeroed *after* scrambling so the
-        // trellis is driven to a known state at that point.
-        for b in scrambled.iter_mut().skip(tail_start).take(6) {
-            *b = 0;
-        }
-
+        let seq = scrambler_sequence();
+        let payload_end = 16 + 8 * payload.len();
         let mut enc = ConvEncoder::new();
-        let mother = enc.encode(&scrambled);
-        let coded = puncture(&mother, self.rate.code_rate());
-        debug_assert_eq!(coded.len(), n_sym * self.rate.coded_bits_per_symbol());
-
-        let il = Interleaver::new(
-            self.rate.coded_bits_per_symbol(),
-            self.rate.modulation().bits_per_subcarrier(),
-        );
-        let interleaved = il.interleave_stream(&coded);
-
-        let modulation = self.rate.modulation();
-        let points = qam::map_stream(modulation, &interleaved);
-        let mut samples = Vec::with_capacity(n_sym * N_SYM_SAMPLES);
-        for (s, chunk) in points.chunks(crate::params::N_DATA).enumerate() {
-            samples.extend(assemble_symbol(chunk, s + 1));
+        // 2·N_DBPS ≤ 432 mother bits per symbol (54 Mbps).
+        let mut mother = [0u8; 432];
+        for s in 0..self.num_data_symbols(payload.len()) {
+            for (t, pair) in mother[..2 * ndbps].chunks_exact_mut(2).enumerate() {
+                let i = s * ndbps + t;
+                let bit = if i >= payload_end && i < payload_end + 6 {
+                    0
+                } else if i >= 16 && i < payload_end {
+                    let j = i - 16;
+                    ((payload[j / 8] >> (j % 8)) & 1) ^ seq[i % 127]
+                } else {
+                    seq[i % 127]
+                };
+                let (a, b) = enc.push(bit);
+                pair[0] = a;
+                pair[1] = b;
+            }
+            let mut bins = [Complex::ZERO; N_FFT];
+            for (&bin, slots) in data_bins().iter().zip(tables.gather.chunks_exact(bpsc)) {
+                let label = slots
+                    .iter()
+                    .enumerate()
+                    .fold(0, |label, (t, &m)| label | (mother[m] as usize) << t);
+                bins[bin] = tables.points[label];
+            }
+            emit_symbol(&mut bins, s + 1, plan, out);
         }
-        samples
     }
 
+    /// Decodes the data field: one batched FFT pass over every symbol,
+    /// then each subcarrier's LLRs go straight to their mother-code slots
+    /// through the rate's gather table. The slots no gather reaches are
+    /// the punctured positions and stay zero-LLR erasures.
     fn decode_data(&self, samples: &[Complex], length: usize, channel: &[Complex]) -> Vec<u8> {
+        let tables = RateTables::get(self.rate);
         let ndbps = self.rate.data_bits_per_symbol();
         let n_sym = self.num_data_symbols(length);
         let total_bits = n_sym * ndbps;
         let modulation = self.rate.modulation();
         let bpsc = modulation.bits_per_subcarrier();
-        let il = Interleaver::new(self.rate.coded_bits_per_symbol(), bpsc);
 
-        // Batched disassembly: one planned FFT pass over every data symbol,
-        // then demap straight into the LLR plane (no per-carrier Vecs).
         let mut scratch = DisassemblyScratch::default();
         let mut data = Vec::new();
         let mut csi = Vec::new();
         disassemble_symbols_into(samples, channel, 1, n_sym, &mut scratch, &mut data, &mut csi);
-        let mut llrs = vec![0.0; n_sym * self.rate.coded_bits_per_symbol()];
-        for (i, (y, &w)) in data.iter().zip(&csi).enumerate() {
-            qam::demap_soft_into(modulation, *y, w, &mut llrs[i * bpsc..(i + 1) * bpsc]);
+        let mut mother = vec![0.0; total_bits * 2];
+        let mut llrs = [0.0; 6];
+        let symbols = data
+            .chunks_exact(N_DATA)
+            .zip(csi.chunks_exact(N_DATA))
+            .zip(mother.chunks_exact_mut(2 * ndbps));
+        for ((data, csi), plane) in symbols {
+            for ((y, &w), slots) in data.iter().zip(csi).zip(tables.gather.chunks_exact(bpsc)) {
+                qam::demap_soft_into(modulation, *y, w, &mut llrs[..bpsc]);
+                for (&m, &l) in slots.iter().zip(&llrs) {
+                    plane[m] = l;
+                }
+            }
         }
-        let deinterleaved = il.deinterleave_stream_soft(&llrs);
-        let mother = depuncture(&deinterleaved, self.rate.code_rate(), total_bits * 2);
         let scrambled = ViterbiDecoder::new().decode_soft_unterminated(&mother, total_bits);
-        let descrambled = Scrambler::new(self.scrambler_seed).scramble(&scrambled);
-        let payload_bits = &descrambled[16..16 + 8 * length];
-        bits::bits_to_bytes(payload_bits)
+        let seq = scrambler_sequence();
+        let mut payload = vec![0u8; length];
+        for (k, byte) in payload.iter_mut().enumerate() {
+            for b in 0..8 {
+                let i = 16 + 8 * k + b;
+                *byte |= (scrambled[i] ^ seq[i % 127]) << b;
+            }
+        }
+        payload
     }
 }
 
@@ -392,7 +480,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "LENGTH field")]
     fn oversized_payload_rejected() {
-        let _ = OfdmPhy::new(OfdmRate::R54).transmit(&vec![0u8; 4096]);
+        let _ = OfdmPhy::new(OfdmRate::R54).transmit(&vec![0u8; MAX_PAYLOAD + 1]);
     }
 
     #[test]

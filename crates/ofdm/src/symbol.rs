@@ -4,7 +4,8 @@ use crate::params::{
     data_carriers, N_CP, N_DATA, N_FFT, N_OCCUPIED, PILOT_CARRIERS, PILOT_VALUES,
 };
 use wlan_coding::scrambler::Scrambler;
-use wlan_math::{fft, Complex};
+use wlan_math::fft::{self, FftPlan};
+use wlan_math::Complex;
 
 /// Time-domain amplitude scale making the average transmitted sample power
 /// approximately one: the IFFT of 52 unit-power subcarriers spread over 64
@@ -36,6 +37,12 @@ fn carrier_to_bin(k: i32) -> usize {
     ((k + N_FFT as i32) % N_FFT as i32) as usize
 }
 
+/// FFT bin of each of the 48 data subcarriers, in mapping order.
+pub(crate) fn data_bins() -> &'static [usize; N_DATA] {
+    static BINS: std::sync::OnceLock<[usize; N_DATA]> = std::sync::OnceLock::new();
+    BINS.get_or_init(|| data_carriers().map(carrier_to_bin))
+}
+
 /// Assembles one time-domain OFDM symbol (CP + 64 samples) from 48 data
 /// subcarrier values, inserting pilots for symbol index `sym_idx`.
 ///
@@ -44,21 +51,34 @@ fn carrier_to_bin(k: i32) -> usize {
 /// Panics if `data.len() != 48`.
 pub fn assemble_symbol(data: &[Complex], sym_idx: usize) -> Vec<Complex> {
     assert_eq!(data.len(), N_DATA, "need exactly 48 data subcarriers");
-    let mut bins = vec![Complex::ZERO; N_FFT];
-    for (i, &k) in data_carriers().iter().enumerate() {
-        bins[carrier_to_bin(k)] = data[i];
+    let mut bins = [Complex::ZERO; N_FFT];
+    for (&bin, &d) in data_bins().iter().zip(data) {
+        bins[bin] = d;
     }
+    let mut out = Vec::with_capacity(N_CP + N_FFT);
+    emit_symbol(&mut bins, sym_idx, &fft::cached_plan(N_FFT), &mut out);
+    out
+}
+
+/// Finishes one symbol whose data bins the caller has filled (every other
+/// bin zero): inserts the pilots for symbol index `sym_idx`, inverse-
+/// transforms the bins in place with `plan` (a 64-point plan), and appends
+/// the scaled cyclic prefix (the last 16 samples) and the 64 samples to
+/// `out`.
+pub(crate) fn emit_symbol(
+    bins: &mut [Complex; N_FFT],
+    sym_idx: usize,
+    plan: &FftPlan,
+    out: &mut Vec<Complex>,
+) {
     let polarity = pilot_polarity(sym_idx);
     for (i, &k) in PILOT_CARRIERS.iter().enumerate() {
         bins[carrier_to_bin(k)] = Complex::from_re(PILOT_VALUES[i] * polarity);
     }
-    fft::ifft_in_place(&mut bins);
+    plan.ifft_in_place(bins);
     let scale = tx_scale();
-    let mut out = Vec::with_capacity(N_CP + N_FFT);
-    // Cyclic prefix = last 16 samples.
     out.extend(bins[N_FFT - N_CP..].iter().map(|s| s.scale(scale)));
     out.extend(bins.iter().map(|s| s.scale(scale)));
-    out
 }
 
 /// Result of disassembling one received symbol.
@@ -88,15 +108,35 @@ pub fn disassemble_symbol(samples: &[Complex], channel: &[Complex], sym_idx: usi
 
     let mut data = Vec::with_capacity(N_DATA);
     let mut csi = Vec::with_capacity(N_DATA);
-    equalize_into(&bins, channel, sym_idx, &mut data, &mut csi);
+    equalize_into(&bins, &EqualizerTaps::new(channel), sym_idx, &mut data, &mut csi);
     RxSymbol { data, csi }
+}
+
+/// Per-bin equalizer taps, derived once per frame from the channel
+/// estimate: `1/H_k` (the factor `y / H_k` multiplies `y` by) and the CSI
+/// weight `|H_k|²`.
+struct EqualizerTaps {
+    inv: [Complex; N_FFT],
+    gain: [f64; N_FFT],
+}
+
+impl EqualizerTaps {
+    /// `channel` must hold 64 bins.
+    fn new(channel: &[Complex]) -> Self {
+        EqualizerTaps {
+            inv: std::array::from_fn(|b| channel[b].recip()),
+            gain: std::array::from_fn(|b| channel[b].norm_sqr()),
+        }
+    }
 }
 
 /// Pilot CPE correction + per-carrier equalization of one FFT'd symbol,
 /// appending the 48 data points and CSI weights to the caller's buffers.
+/// `y / H_k` is computed as `y · (1/H_k)`, exactly what complex division
+/// does, with the reciprocal taken once per frame instead of per symbol.
 fn equalize_into(
     bins: &[Complex],
-    channel: &[Complex],
+    taps: &EqualizerTaps,
     sym_idx: usize,
     data: &mut Vec<Complex>,
     csi: &mut Vec<f64>,
@@ -107,9 +147,8 @@ fn equalize_into(
     for (i, &k) in PILOT_CARRIERS.iter().enumerate() {
         let bin = carrier_to_bin(k);
         let expected = Complex::from_re(PILOT_VALUES[i] * polarity);
-        let h = channel[bin];
-        if h.norm_sqr() > 1e-12 {
-            cpe += (bins[bin] / h) * expected.conj();
+        if taps.gain[bin] > 1e-12 {
+            cpe += (bins[bin] * taps.inv[bin]) * expected.conj();
         }
     }
     let rot = if cpe.norm() > 1e-9 {
@@ -118,12 +157,10 @@ fn equalize_into(
         Complex::ONE
     };
 
-    for &k in data_carriers() {
-        let bin = carrier_to_bin(k);
-        let h = channel[bin];
-        let h2 = h.norm_sqr();
+    for &bin in data_bins() {
+        let h2 = taps.gain[bin];
         if h2 > 1e-12 {
-            data.push(bins[bin] / h * rot);
+            data.push(bins[bin] * taps.inv[bin] * rot);
         } else {
             data.push(Complex::ZERO);
         }
@@ -173,11 +210,11 @@ pub fn disassemble_symbols_into(
     }
     plan.fft_batch(&mut scratch.bins);
 
+    let taps = EqualizerTaps::new(channel);
     data.reserve(n_sym * N_DATA);
     csi.reserve(n_sym * N_DATA);
-    for s in 0..n_sym {
-        let bins = &scratch.bins[s * N_FFT..(s + 1) * N_FFT];
-        equalize_into(bins, channel, first_sym_idx + s, data, csi);
+    for (s, bins) in scratch.bins.chunks_exact(N_FFT).enumerate() {
+        equalize_into(bins, &taps, first_sym_idx + s, data, csi);
     }
 }
 
