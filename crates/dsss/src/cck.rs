@@ -152,6 +152,8 @@ pub struct CckDemodulator {
     prev_phi1: f64,
     /// Candidate (φ2, φ3, φ4) triples with their decoded payload bits.
     candidates: Vec<([Complex; 8], Vec<u8>)>,
+    /// `u_i = conj(e^{jiπ/2})`, the factors of the 11 Mbps correlator.
+    quarter_turns: [Complex; 4],
 }
 
 impl CckDemodulator {
@@ -196,6 +198,9 @@ impl CckDemodulator {
             rate,
             prev_phi1: 0.0,
             candidates,
+            quarter_turns: std::array::from_fn(|i| {
+                Complex::from_polar(1.0, i as f64 * PI / 2.0).conj()
+            }),
         }
     }
 
@@ -214,7 +219,7 @@ impl CckDemodulator {
         let mut bits = Vec::with_capacity(n_sym * self.rate.bits_per_symbol());
         for block in chips.chunks(CHIPS_PER_SYMBOL) {
             let (best, best_corr) = match self.rate {
-                CckRate::Full => Self::correlate_full(block),
+                CckRate::Full => self.correlate_full(block),
                 CckRate::Half => self.correlate_codebook(block),
             };
             // The winning correlation's phase is φ1; decode it differentially.
@@ -264,9 +269,8 @@ impl CckDemodulator {
     /// each across the four φ4 hypotheses — ~3× fewer complex multiplies
     /// than the plain 64 × 8 bank, with the same argmax decision rule and
     /// candidate ordering (index = (i2·4 + i3)·4 + i4).
-    fn correlate_full(block: &[Complex]) -> (usize, Complex) {
-        let u: [Complex; 4] =
-            std::array::from_fn(|i| Complex::from_polar(1.0, i as f64 * PI / 2.0).conj());
+    fn correlate_full(&self, block: &[Complex]) -> (usize, Complex) {
+        let u = &self.quarter_turns;
         let mut best = 0usize;
         let mut best_corr = Complex::ZERO;
         for p in 0..16usize {
