@@ -522,6 +522,13 @@ impl PhyLink for OfdmLink {
         faults: &FaultChain,
         rng: &mut WlanRng,
     ) -> Result<bool, WlanError> {
+        // The 12-bit SIGNAL LENGTH field cannot describe a longer frame;
+        // refuse it before the channel or noise draws anything.
+        if payload.len() > wlan_ofdm::phy::MAX_PAYLOAD {
+            return Err(WlanError::InvalidConfig(
+                "OFDM payload exceeds the 4095-byte SIGNAL LENGTH field",
+            ));
+        }
         let timers = stage_timers();
         let phy = OfdmPhy::new(self.rate);
         let span = timers.tx.start();
@@ -1059,6 +1066,33 @@ mod tests {
         split.extend(rest);
         assert_eq!(split, erased);
         assert_eq!(head.errors + tail.errors, tally.errors);
+    }
+
+    #[test]
+    fn oversized_ofdm_payload_is_a_typed_error_not_a_panic() {
+        let want = Err(WlanError::InvalidConfig(
+            "OFDM payload exceeds the 4095-byte SIGNAL LENGTH field",
+        ));
+        let point_rng = WlanRng::seed_from_u64(9).fork(0);
+        for link in [
+            OfdmLink::awgn(OfdmRate::R54),
+            OfdmLink {
+                rate: OfdmRate::R6,
+                multipath: Some(PowerDelayProfile::tgn_model('C')),
+            },
+        ] {
+            let got = frame_trial_at(&link, &FaultChain::clean(), 20.0, 4096, &point_rng, 0);
+            assert_eq!(got, want, "{}", link.name());
+            // The refusal draws nothing from the trial's stream.
+            let mut rng = point_rng.fork(1);
+            let untouched = rng.clone();
+            let got = link.frame_trial_faulted(20.0, &[0u8; 4096], &FaultChain::clean(), &mut rng);
+            assert_eq!(got, want);
+            assert_eq!(rng, untouched, "{}", link.name());
+        }
+        // The largest legal payload still runs.
+        let link = OfdmLink::awgn(OfdmRate::R54);
+        assert!(frame_trial_at(&link, &FaultChain::clean(), 30.0, 4095, &point_rng, 0).is_ok());
     }
 
     #[test]
