@@ -529,3 +529,67 @@ fn golden_ofdm_receive_digest() {
     }
     assert_eq!(got, want, "receive digests {got:#018x?}");
 }
+
+/// Bit-pattern pin of the OFDM equalizer: the channel estimate, the
+/// equalized SIGNAL symbol and every equalized data point and CSI weight
+/// of noisy multipath frames, per rate. Decoded payloads absorb
+/// last-bit changes in these values; this digest does not.
+#[test]
+fn golden_ofdm_equalizer_digest() {
+    use wlan_core::channel::{Awgn, MultipathChannel};
+    use wlan_core::math::rng::Rng;
+    use wlan_core::math::Complex;
+    use wlan_core::ofdm::phy::{DATA_OFFSET, SIGNAL_OFFSET};
+    use wlan_core::ofdm::preamble::estimate_channel;
+    use wlan_core::ofdm::symbol::{disassemble_symbol, disassemble_symbols_into, DisassemblyScratch};
+    use wlan_core::ofdm::{OfdmPhy, OfdmRate};
+    let ch = MultipathChannel::from_taps(vec![
+        Complex::new(0.85, 0.1),
+        Complex::new(0.0, -0.4),
+        Complex::new(0.2, 0.15),
+    ]);
+    let want: [u64; 8] = [
+        0x68660770318d0efd,
+        0x0c63363ce68b5411,
+        0xde1a2114dfd9f8d4,
+        0xe7e25733adaf5b4f,
+        0x6ffc8261ce132449,
+        0x266724e74dd3eeaf,
+        0xbe6cbc76ab84609e,
+        0x714de9b09487595a,
+    ];
+    let mut got = [0u64; 8];
+    for (slot, rate) in got.iter_mut().zip(OfdmRate::all()) {
+        let phy = OfdmPhy::new(rate);
+        let mut rng = WlanRng::seed_from_u64(0xe9a1);
+        let mut h = FNV_OFFSET;
+        for snr_db in [4.0, 12.0, 25.0] {
+            let payload: Vec<u8> = (0..200).map(|_| rng.gen()).collect();
+            let frame = phy.transmit(&payload);
+            let mut rx = ch.filter(&frame);
+            rx.truncate(frame.len());
+            let noisy = Awgn::from_snr_db(snr_db).apply(&rx, &mut rng);
+            let channel = estimate_channel(&noisy[160..320]);
+            h = fold_samples(h, &channel);
+            let signal = disassemble_symbol(&noisy[SIGNAL_OFFSET..DATA_OFFSET], &channel, 0);
+            h = fold_samples(h, &signal.data);
+            h = signal.csi.iter().fold(h, |h, w| fnv_fold(h, w.to_bits()));
+            let (mut data, mut csi) = (Vec::new(), Vec::new());
+            let n_sym = phy.num_data_symbols(payload.len());
+            let mut scratch = DisassemblyScratch::default();
+            disassemble_symbols_into(
+                &noisy[DATA_OFFSET..],
+                &channel,
+                1,
+                n_sym,
+                &mut scratch,
+                &mut data,
+                &mut csi,
+            );
+            h = fold_samples(h, &data);
+            h = csi.iter().fold(h, |h, w| fnv_fold(h, w.to_bits()));
+        }
+        *slot = h;
+    }
+    assert_eq!(got, want, "equalizer digests {got:#018x?}");
+}
