@@ -202,7 +202,10 @@ rm -rf "$BENCH_DIR"
 # crates/dist coordinates the whole fleet, so a panic there loses every
 # worker's in-flight results at once — same bar. The byte-stream fault
 # injector (crates/fault/src/transport.rs) wraps live sockets inside
-# chaos workers, so it is scanned too.
+# chaos workers, so it is scanned too. The table-driven OFDM frame chain
+# (crates/ofdm/src/{phy,symbol,preamble}.rs) and the FFT plan it runs on
+# (crates/math/src/fft.rs) carry every calibration frame of a city run —
+# same bar.
 # crates/channel, crates/mac, and crates/mesh feed every interference,
 # protection, and topology decision the city simulator makes; crates/city
 # itself runs hundreds of BSS-epochs per wave, so one panicking degenerate
@@ -212,7 +215,8 @@ for f in crates/coding/src/*.rs crates/mimo/src/*.rs crates/core/src/*.rs \
          crates/runner/src/*.rs crates/obs/src/*.rs crates/dist/src/*.rs \
          crates/channel/src/*.rs crates/mac/src/*.rs crates/mesh/src/*.rs \
          crates/city/src/*.rs crates/fault/src/transport.rs \
-         crates/math/src/ci.rs crates/math/src/par.rs; do
+         crates/math/src/ci.rs crates/math/src/par.rs crates/math/src/fft.rs \
+         crates/ofdm/src/phy.rs crates/ofdm/src/symbol.rs crates/ofdm/src/preamble.rs; do
         awk '
             /#\[cfg\(test\)\]/ { exit }
             /^[[:space:]]*\/\// { next }

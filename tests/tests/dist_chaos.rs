@@ -253,7 +253,7 @@ fn budget_exhaustion_mid_campaign_aggregates_partials() {
 // The same transparency contract, but over real sockets: an `Acceptor`
 // on an ephemeral port, `run_tcp_worker` threads dialling in with
 // reconnect/backoff, and the coordinator running on whoever handshakes.
-// Results must match the stdio/in-process runs bit-for-bit under every
+// Results must match the in-process runs bit-for-bit under every
 // kill and reconnect schedule.
 
 struct TcpRun {
@@ -308,7 +308,7 @@ fn run_over_tcp(
 /// The acceptance matrix over sockets: {1 worker, 3 workers, 3 workers
 /// + kill-and-reconnect, fleet loss → in-process fallback} × {serial,
 /// default threading}, all bit-identical to the single-process
-/// baseline (and therefore to the stdio and in-process runs of the
+/// baseline (and therefore to the in-process runs of the
 /// sibling matrix above, which compare against the same baseline).
 #[test]
 fn tcp_fleet_matrix_is_bit_identical_to_single_process() {
