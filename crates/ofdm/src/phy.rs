@@ -12,12 +12,11 @@
 //! The receiver estimates the channel from the LTF, decodes SIGNAL to learn
 //! rate and length, then equalizes and soft-decodes the data field.
 
-use crate::params::{OfdmRate, N_DATA, N_FFT, N_SYM_SAMPLES};
+use crate::params::{Modulation, OfdmRate, N_DATA, N_FFT, N_SYM_SAMPLES};
 use crate::preamble;
 use crate::qam;
 use crate::symbol::{
-    assemble_symbol, data_bins, disassemble_symbol, disassemble_symbols_into, emit_symbol,
-    DisassemblyScratch,
+    data_bins, disassemble_symbol, disassemble_symbols_into, emit_symbol, DisassemblyScratch,
 };
 use std::sync::OnceLock;
 use wlan_coding::interleaver::Interleaver;
@@ -84,31 +83,19 @@ const SCRAMBLER_SEED: u8 = 0x5D;
 fn scrambler_sequence() -> &'static [u8; 127] {
     static SEQ: OnceLock<[u8; 127]> = OnceLock::new();
     SEQ.get_or_init(|| {
-        let mut seq = [0u8; 127];
         let mut lfsr = Scrambler::new(SCRAMBLER_SEED);
-        for bit in seq.iter_mut() {
-            *bit = lfsr.next_bit();
-        }
-        seq
+        std::array::from_fn(|_| lfsr.next_bit())
     })
 }
 
-/// The 320 preamble samples (STF ‖ LTF) every frame starts with.
-fn preamble_samples() -> &'static [Complex] {
-    static PREAMBLE: OnceLock<Vec<Complex>> = OnceLock::new();
-    PREAMBLE.get_or_init(|| {
-        let mut samples = preamble::short_training_field();
-        samples.extend(preamble::long_training_field());
-        samples
-    })
-}
-
-/// The data-field tables of one rate, built once per process.
+/// The symbol tables of one rate, built once per process.
 ///
 /// Every data symbol carries `2·N_DBPS` mother-code bits, a whole number of
 /// puncturing periods at every rate, so puncturing and interleaving reduce
-/// to one per-symbol index map.
+/// to one per-symbol index map. The SIGNAL symbol is coded like a 6 Mbps
+/// data symbol (BPSK, rate 1/2) and uses that rate's tables.
 struct RateTables {
+    modulation: Modulation,
     /// Mother-code offset (within the symbol's `2·N_DBPS` mother bits) of
     /// each interleaved coded bit: the interleaver composed with the
     /// puncturer's kept positions. Subcarrier `c` carries coded bits
@@ -135,12 +122,42 @@ impl RateTables {
                 qam::map_bits(modulation, &bits)
             })
             .collect();
-        RateTables { gather, points }
+        RateTables {
+            modulation,
+            gather,
+            points,
+        }
     }
 
     fn get(rate: OfdmRate) -> &'static RateTables {
         static TABLES: [OnceLock<RateTables>; 8] = [const { OnceLock::new() }; 8];
         TABLES[rate as usize].get_or_init(|| RateTables::new(rate))
+    }
+
+    /// Maps one symbol's mother-code bits onto the 48 data bins of `bins`.
+    fn map_symbol(&self, mother: &[u8], bins: &mut [Complex; N_FFT]) {
+        let slots = self.gather.chunks_exact(self.modulation.bits_per_subcarrier());
+        for (&bin, slots) in data_bins().iter().zip(slots) {
+            let label = slots
+                .iter()
+                .enumerate()
+                .fold(0, |label, (t, &m)| label | (mother[m] as usize) << t);
+            bins[bin] = self.points[label];
+        }
+    }
+
+    /// Soft-demaps one symbol's 48 equalized subcarriers (with their CSI
+    /// weights) straight into its mother-code LLR plane. Slots no gather
+    /// reaches are the punctured positions; they keep their value.
+    fn demap_symbol(&self, data: &[Complex], csi: &[f64], plane: &mut [f64]) {
+        let bpsc = self.modulation.bits_per_subcarrier();
+        let mut llrs = [0.0; 6];
+        for ((y, &w), slots) in data.iter().zip(csi).zip(self.gather.chunks_exact(bpsc)) {
+            qam::demap_soft_into(self.modulation, *y, w, &mut llrs[..bpsc]);
+            for (&m, &l) in slots.iter().zip(&llrs) {
+                plane[m] = l;
+            }
+        }
     }
 }
 
@@ -179,10 +196,12 @@ impl OfdmPhy {
     /// Panics if `payload.len() > MAX_PAYLOAD` (the 12-bit LENGTH limit).
     pub fn transmit(&self, payload: &[u8]) -> Vec<Complex> {
         assert!(payload.len() <= MAX_PAYLOAD, "LENGTH field is 12 bits");
+        let plan = fft::cached_plan(N_FFT);
         let mut samples = Vec::with_capacity(self.frame_samples(payload.len()));
-        samples.extend_from_slice(preamble_samples());
-        samples.extend(self.encode_signal(payload.len()));
-        self.encode_data(payload, &fft::cached_plan(N_FFT), &mut samples);
+        samples.extend(preamble::short_training_field());
+        samples.extend(preamble::long_training_field());
+        self.encode_signal(payload.len(), &plan, &mut samples);
+        self.encode_data(payload, &plan, &mut samples);
         samples
     }
 
@@ -218,7 +237,7 @@ impl OfdmPhy {
         self.receive(samples).ok()
     }
 
-    fn encode_signal(&self, length: usize) -> Vec<Complex> {
+    fn encode_signal(&self, length: usize, plan: &FftPlan, out: &mut Vec<Complex>) {
         // RATE(4) ‖ R(1)=0 ‖ LENGTH(12, LSB first) ‖ PARITY(1).
         let mut info = Vec::with_capacity(18);
         info.extend_from_slice(&self.rate.signal_bits());
@@ -231,13 +250,9 @@ impl OfdmPhy {
         // Tail bits come from encode_terminated; BPSK rate 1/2, one symbol.
         let coded = ConvEncoder::new().encode_terminated(&info);
         debug_assert_eq!(coded.len(), 48);
-        let il = Interleaver::new(48, 1);
-        let interleaved = il.interleave(&coded);
-        let data: Vec<Complex> = interleaved
-            .iter()
-            .map(|&b| qam::map_bits(crate::params::Modulation::Bpsk, &[b]))
-            .collect();
-        assemble_symbol(&data, 0)
+        let mut bins = [Complex::ZERO; N_FFT];
+        RateTables::get(OfdmRate::R6).map_symbol(&coded, &mut bins);
+        emit_symbol(&mut bins, 0, plan, out);
     }
 
     fn decode_signal(
@@ -246,13 +261,9 @@ impl OfdmPhy {
         channel: &[Complex],
     ) -> Result<(OfdmRate, usize), RxError> {
         let rx = disassemble_symbol(samples, channel, 0);
-        let mut llrs = Vec::with_capacity(48);
-        for (y, &csi) in rx.data.iter().zip(&rx.csi) {
-            llrs.extend(qam::demap_soft(crate::params::Modulation::Bpsk, *y, csi));
-        }
-        let il = Interleaver::new(48, 1);
-        let deinterleaved = il.deinterleave_soft(&llrs);
-        let info = ViterbiDecoder::new().decode_soft(&deinterleaved, 18);
+        let mut llrs = [0.0; 48];
+        RateTables::get(OfdmRate::R6).demap_symbol(&rx.data, &rx.csi, &mut llrs);
+        let info = ViterbiDecoder::new().decode_soft(&llrs, 18);
         let parity = info[..17].iter().fold(0u8, |a, &b| a ^ b);
         if parity != info[17] {
             return Err(RxError::SignalParity);
@@ -276,7 +287,6 @@ impl OfdmPhy {
     /// gathered from the symbol's mother bits through the rate table.
     fn encode_data(&self, payload: &[u8], plan: &FftPlan, out: &mut Vec<Complex>) {
         let tables = RateTables::get(self.rate);
-        let bpsc = self.rate.modulation().bits_per_subcarrier();
         let ndbps = self.rate.data_bits_per_symbol();
         let seq = scrambler_sequence();
         let payload_end = 16 + 8 * payload.len();
@@ -299,13 +309,7 @@ impl OfdmPhy {
                 pair[1] = b;
             }
             let mut bins = [Complex::ZERO; N_FFT];
-            for (&bin, slots) in data_bins().iter().zip(tables.gather.chunks_exact(bpsc)) {
-                let label = slots
-                    .iter()
-                    .enumerate()
-                    .fold(0, |label, (t, &m)| label | (mother[m] as usize) << t);
-                bins[bin] = tables.points[label];
-            }
+            tables.map_symbol(&mother, &mut bins);
             emit_symbol(&mut bins, s + 1, plan, out);
         }
     }
@@ -319,26 +323,18 @@ impl OfdmPhy {
         let ndbps = self.rate.data_bits_per_symbol();
         let n_sym = self.num_data_symbols(length);
         let total_bits = n_sym * ndbps;
-        let modulation = self.rate.modulation();
-        let bpsc = modulation.bits_per_subcarrier();
 
         let mut scratch = DisassemblyScratch::default();
         let mut data = Vec::new();
         let mut csi = Vec::new();
         disassemble_symbols_into(samples, channel, 1, n_sym, &mut scratch, &mut data, &mut csi);
         let mut mother = vec![0.0; total_bits * 2];
-        let mut llrs = [0.0; 6];
         let symbols = data
             .chunks_exact(N_DATA)
             .zip(csi.chunks_exact(N_DATA))
             .zip(mother.chunks_exact_mut(2 * ndbps));
         for ((data, csi), plane) in symbols {
-            for ((y, &w), slots) in data.iter().zip(csi).zip(tables.gather.chunks_exact(bpsc)) {
-                qam::demap_soft_into(modulation, *y, w, &mut llrs[..bpsc]);
-                for (&m, &l) in slots.iter().zip(&llrs) {
-                    plane[m] = l;
-                }
-            }
+            tables.demap_symbol(data, csi, plane);
         }
         let scrambled = ViterbiDecoder::new().decode_soft_unterminated(&mother, total_bits);
         let seq = scrambler_sequence();

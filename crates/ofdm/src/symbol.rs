@@ -108,7 +108,8 @@ pub fn disassemble_symbol(samples: &[Complex], channel: &[Complex], sym_idx: usi
 
     let mut data = Vec::with_capacity(N_DATA);
     let mut csi = Vec::with_capacity(N_DATA);
-    equalize_into(&bins, &EqualizerTaps::new(channel), sym_idx, &mut data, &mut csi);
+    let taps = EqualizerTaps::new(channel);
+    equalize_into(&bins, &taps, sym_idx, &mut data, &mut csi);
     RxSymbol { data, csi }
 }
 
