@@ -1,8 +1,10 @@
 //! PER lookup tables: the contract that lets a city run at MAC speed.
 //!
 //! A city-scale epoch evaluates tens of thousands of station SINRs; at
-//! ~565 µs per real PHY frame even the batched kernels would cap the city
-//! at a few thousand frames per second. Instead the PHY is consulted
+//! ~1.4 ms per real 1200-byte PHY frame (tx + channel + rx, averaged over
+//! the nine calibration links on a 2-vCPU x86-64 host) even the batched
+//! kernels would cap the city at about a thousand frames per second per
+//! core. Instead the PHY is consulted
 //! *once*, at calibration time: [`PerTable::calibrate`] sweeps a real
 //! TX→channel→RX chain over an SNR grid (`wlan_core::linksim::sweep_per`)
 //! and the hot loop interpolates the resulting curve in SINR.

@@ -277,14 +277,13 @@ impl OfdmPhy {
         Ok((rate, length))
     }
 
-    /// Appends the `N_SYM` data symbols of `payload` to `out`, one
-    /// 64-bin stack buffer and one planned IFFT per symbol.
+    /// Appends the `N_SYM` data symbols of `payload` to `out`, each built
+    /// in a 64-bin stack buffer and inverse-transformed by one planned IFFT.
     ///
-    /// Per data bit `i` of `SERVICE(16) ‖ payload ‖ TAIL(6) ‖ PAD`: XOR the
-    /// scrambler sequence, except that the six tail bits are zero *after*
-    /// scrambling (§17.3.5.2) so the trellis is driven to a known state at
-    /// that point; then the rate-1/2 encoder. Each subcarrier's label is
-    /// gathered from the symbol's mother bits through the rate table.
+    /// The data bits `SERVICE(16) ‖ payload ‖ TAIL(6) ‖ PAD` are scrambled
+    /// and fed to the rate-1/2 encoder one symbol at a time; the six tail
+    /// bits are zero *after* scrambling (§17.3.5.2) so the trellis is
+    /// driven to a known state at that point.
     fn encode_data(&self, payload: &[u8], plan: &FftPlan, out: &mut Vec<Complex>) {
         let tables = RateTables::get(self.rate);
         let ndbps = self.rate.data_bits_per_symbol();
@@ -476,7 +475,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "LENGTH field")]
     fn oversized_payload_rejected() {
-        let _ = OfdmPhy::new(OfdmRate::R54).transmit(&vec![0u8; MAX_PAYLOAD + 1]);
+        let _ = OfdmPhy::new(OfdmRate::R54).transmit(&vec![0u8; 4096]);
     }
 
     #[test]

@@ -305,11 +305,11 @@ fn run_over_tcp(
     }
 }
 
-/// The acceptance matrix over sockets: {1 worker, 3 workers, 3 workers
-/// + kill-and-reconnect, fleet loss → in-process fallback} × {serial,
-/// default threading}, all bit-identical to the single-process
-/// baseline (and therefore to the in-process runs of the
-/// sibling matrix above, which compare against the same baseline).
+/// The acceptance matrix over sockets: {1 worker, 3 workers,
+/// 3 workers + kill-and-reconnect, fleet loss → in-process fallback} ×
+/// {serial, default threading}, all bit-identical to the single-process
+/// baseline (and therefore to the in-process runs of the sibling matrix
+/// above, which compare against the same baseline).
 #[test]
 fn tcp_fleet_matrix_is_bit_identical_to_single_process() {
     let spec = LinkSpec::Fhss;

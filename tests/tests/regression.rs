@@ -409,17 +409,17 @@ fn erased_pipelines_never_masquerade_as_zero_per() {
 /// FNV-1a-64 fold over 64-bit words (each word's eight little-endian
 /// bytes): the digest the bit-pattern pins below accumulate.
 fn fnv_fold(h: u64, word: u64) -> u64 {
-    word.to_le_bytes()
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    word.to_le_bytes().iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn fold_samples(h: u64, samples: &[wlan_core::math::Complex]) -> u64 {
-    samples
-        .iter()
-        .fold(h, |h, s| fnv_fold(fnv_fold(h, s.re.to_bits()), s.im.to_bits()))
+    samples.iter().fold(h, |h, s| {
+        fnv_fold(fnv_fold(h, s.re.to_bits()), s.im.to_bits())
+    })
 }
 
 /// Bit-pattern pin of the OFDM transmit chain: one digest per rate over
@@ -520,7 +520,9 @@ fn golden_ofdm_receive_digest() {
                 rx.truncate(frame.len());
                 let noisy = Awgn::from_snr_db(snr_db).apply(&rx, &mut rng);
                 h = match phy.receive(&noisy) {
-                    Ok(bytes) => bytes.iter().fold(fnv_fold(h, 1), |h, &b| fnv_fold(h, b as u64)),
+                    Ok(bytes) => bytes
+                        .iter()
+                        .fold(fnv_fold(h, 1), |h, &b| fnv_fold(h, b as u64)),
                     Err(e) => fnv_fold(h, 2 + e as u64),
                 };
             }
@@ -541,7 +543,9 @@ fn golden_ofdm_equalizer_digest() {
     use wlan_core::math::Complex;
     use wlan_core::ofdm::phy::{DATA_OFFSET, SIGNAL_OFFSET};
     use wlan_core::ofdm::preamble::estimate_channel;
-    use wlan_core::ofdm::symbol::{disassemble_symbol, disassemble_symbols_into, DisassemblyScratch};
+    use wlan_core::ofdm::symbol::{
+        disassemble_symbol, disassemble_symbols_into, DisassemblyScratch,
+    };
     use wlan_core::ofdm::{OfdmPhy, OfdmRate};
     let ch = MultipathChannel::from_taps(vec![
         Complex::new(0.85, 0.1),
