@@ -90,7 +90,7 @@ impl ConvEncoder {
 
 /// Precomputed trellis output for `(state, input)`, shared with the Viterbi
 /// decoder: returns `(a, b, next_state)`.
-pub(crate) fn trellis_step(state: u32, input: u8) -> (u8, u8, u32) {
+pub(crate) const fn trellis_step(state: u32, input: u8) -> (u8, u8, u32) {
     let reg = (input as u32) << (CONSTRAINT_LENGTH - 1) | state;
     let a = (reg & G0).count_ones() as u8 & 1;
     let b = (reg & G1).count_ones() as u8 & 1;

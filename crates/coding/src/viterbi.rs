@@ -5,10 +5,13 @@
 //! is one of the design-choice ablations benchmarked in experiment E6.
 //!
 //! The workhorse is [`ViterbiKernel`]: a reusable decoder whose trellis pass
-//! runs allocation-free against a scratch arena owned by the kernel — a flat
-//! per-step branch-metric table (four correlation sums shared by all 64
-//! states), precomputed branch outputs for every 7-bit register value, and
-//! one `u64` of bit-parallel survivor decisions per trellis step. The
+//! runs allocation-free against a scratch arena owned by the kernel — branch
+//! outputs precomputed for every 7-bit register value and one `u64` of
+//! bit-parallel survivor decisions per trellis step. The forward pass runs
+//! on one of three paths, picked once per kernel by CPU feature detection:
+//! an AVX-512F whole-frame pass that keeps all 64 path metrics in registers
+//! from the first step to the last, the AVX2 add-compare-select step, or the
+//! portable scalar step that both vector paths must match bit for bit. The
 //! ergonomic [`ViterbiDecoder`] front end delegates to a thread-local kernel,
 //! so the per-call `Vec` churn of the original implementation is gone from
 //! the sweep hot path while the public API is unchanged. Kernel and front
@@ -52,19 +55,54 @@ impl<'a> FrameLlrs<'a> {
         FrameLlrs { llrs, num_bits, terminated: false }
     }
 
-    fn total_steps(&self) -> usize {
-        self.num_bits + if self.terminated { TAIL } else { 0 }
-    }
-
+    /// Validates the LLR length and returns the trellis step count. Every
+    /// decode goes through here first, so the forward passes may rely on
+    /// exactly two LLRs per step. A `num_bits` so large that the step or LLR
+    /// count overflows `usize` is a typed error, never a wrapped length.
     fn check(&self) -> Result<usize, WlanError> {
-        let total_steps = self.total_steps();
-        if self.llrs.len() != total_steps * 2 {
+        const OVERFLOW: WlanError =
+            WlanError::InvalidConfig("Viterbi frame length overflows usize");
+        let tail = if self.terminated { TAIL } else { 0 };
+        let total_steps = self.num_bits.checked_add(tail).ok_or(OVERFLOW)?;
+        let expected = total_steps.checked_mul(2).ok_or(OVERFLOW)?;
+        if self.llrs.len() != expected {
             return Err(WlanError::LengthMismatch {
-                expected: total_steps * 2,
+                expected,
                 got: self.llrs.len(),
             });
         }
         Ok(total_steps)
+    }
+}
+
+/// Which add-compare-select implementation a kernel runs, chosen once by
+/// CPU feature detection in [`AcsPath::detect`]; no option selects it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcsPath {
+    /// Whole-frame AVX-512F pass with register-resident metrics ([`avx512`]).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// AVX2 step, one call per trellis step ([`simd`]); the only vector
+    /// path on x86-64 hosts without AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// Portable reference step ([`acs_step_scalar`]).
+    Scalar,
+}
+
+impl AcsPath {
+    /// The fastest path this CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return AcsPath::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return AcsPath::Avx2;
+            }
+        }
+        AcsPath::Scalar
     }
 }
 
@@ -92,16 +130,8 @@ impl<'a> FrameLlrs<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ViterbiKernel {
-    /// Branch outputs `(a << 1) | b` indexed by the 7-bit register value
-    /// `input << 6 | state`; built from the encoder's own `trellis_step` so
-    /// the two can never drift apart.
-    out2: [u8; 2 * NUM_STATES],
-    /// Branch-metric sign tables for the vector path (see [`simd`]), laid
-    /// out in that path's lane order; unused when AVX2 is unavailable.
-    signs: simd::SignTables,
-    /// Whether this process may use the AVX2 add-compare-select step
-    /// (checked once at construction via runtime feature detection).
-    use_avx2: bool,
+    /// The forward-pass implementation, detected once at construction.
+    path: AcsPath,
     /// One survivor word per trellis step: bit `s` set means next-state `s`
     /// kept its high (odd-register) predecessor.
     survivors: Vec<u64>,
@@ -112,24 +142,8 @@ pub struct ViterbiKernel {
 impl ViterbiKernel {
     /// Creates a kernel with an empty scratch arena.
     pub fn new() -> Self {
-        let mut out2 = [0u8; 2 * NUM_STATES];
-        for state in 0..NUM_STATES as u32 {
-            for input in 0..=1u8 {
-                let (a, b, _next) = trellis_step(state, input);
-                let reg = (input as usize) << (CONSTRAINT_LENGTH - 1) | state as usize;
-                out2[reg] = (a << 1) | b;
-            }
-        }
-        // The butterfly in `run_trellis` relies on both generator
-        // polynomials having their top bit set, so the input bit
-        // complements both outputs.
-        for state in 0..NUM_STATES {
-            debug_assert_eq!(out2[state] ^ out2[state | NUM_STATES], 3);
-        }
         ViterbiKernel {
-            out2,
-            signs: simd::SignTables::new(&out2),
-            use_avx2: simd::available(),
+            path: AcsPath::detect(),
             survivors: Vec::new(),
             decoded: Vec::new(),
         }
@@ -178,30 +192,9 @@ impl ViterbiKernel {
 
     /// Add-compare-select forward pass + traceback into `self.decoded`
     /// (resized to `total_steps`; the first `num_bits` entries are the
-    /// answer).
+    /// answer). `llrs` holds exactly two LLRs per step ([`FrameLlrs::check`]).
     fn run_trellis(&mut self, llrs: &[f64], total_steps: usize, terminated: bool) {
-        self.survivors.clear();
-        self.survivors.resize(total_steps, 0);
-
-        // Path metrics ping-pong between two stack banks via pointer swap.
-        let mut bank_a = [NEG_INF; NUM_STATES];
-        let mut bank_b = [NEG_INF; NUM_STATES];
-        bank_a[0] = 0.0; // encoder starts in state 0
-        let (mut metrics, mut next_metrics) = (&mut bank_a, &mut bank_b);
-
-        for t in 0..total_steps {
-            let la = llrs[2 * t];
-            let lb = llrs[2 * t + 1];
-            let word = if self.use_avx2 {
-                // SAFETY: `use_avx2` is only set when runtime detection
-                // confirmed AVX2 support (see `simd::available`).
-                unsafe { simd::acs_step_avx2(&self.signs, metrics, next_metrics, la, lb) }
-            } else {
-                acs_step_scalar(&self.out2, metrics, next_metrics, la, lb)
-            };
-            self.survivors[t] = word;
-            std::mem::swap(&mut metrics, &mut next_metrics);
-        }
+        let metrics = self.forward(llrs, total_steps);
 
         // Terminated: trace back from state 0; otherwise from the best end
         // state. The fold is infallible over the fixed state set and keeps
@@ -227,6 +220,72 @@ impl ViterbiKernel {
             state = ((state << 1) & (NUM_STATES - 1)) | kept_hi as usize;
         }
     }
+
+    /// Runs the forward pass on this kernel's path: fills one survivor word
+    /// per step into `self.survivors` and returns the final path metrics.
+    fn forward(&mut self, llrs: &[f64], total_steps: usize) -> [f64; NUM_STATES] {
+        self.survivors.clear();
+        self.survivors.resize(total_steps, 0);
+        match self.path {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx512` is only selected when runtime detection
+            // confirmed AVX-512F (`AcsPath::detect`); `FrameLlrs::check`
+            // guarantees two LLRs per survivor word, so the pass covers
+            // every step.
+            AcsPath::Avx512 => unsafe { avx512::forward(llrs, &mut self.survivors) },
+            #[cfg(target_arch = "x86_64")]
+            AcsPath::Avx2 => forward_steps(llrs, &mut self.survivors, |metrics, next, la, lb| {
+                // SAFETY: `Avx2` is only selected when runtime detection
+                // confirmed AVX2 (`AcsPath::detect`); the step reads and
+                // writes the fixed 64-state banks only, whatever the frame
+                // length `FrameLlrs::check` admitted.
+                unsafe { simd::acs_step_avx2(metrics, next, la, lb) }
+            }),
+            AcsPath::Scalar => forward_steps(llrs, &mut self.survivors, |metrics, next, la, lb| {
+                acs_step_scalar(metrics, next, la, lb)
+            }),
+        }
+    }
+}
+
+/// Branch outputs `(a << 1) | b` indexed by the 7-bit register value
+/// `input << 6 | state`; built from the encoder's own `trellis_step` so the
+/// two can never drift apart.
+const OUT2: [u8; 2 * NUM_STATES] = {
+    let mut out2 = [0u8; 2 * NUM_STATES];
+    let mut reg = 0;
+    while reg < 2 * NUM_STATES {
+        let (a, b, _next) = trellis_step((reg % NUM_STATES) as u32, (reg / NUM_STATES) as u8);
+        out2[reg] = (a << 1) | b;
+        reg += 1;
+    }
+    // The butterflies rely on both generator polynomials having their top
+    // bit set, so the input bit complements both outputs.
+    let mut state = 0;
+    while state < NUM_STATES {
+        assert!(out2[state] ^ out2[state | NUM_STATES] == 3);
+        state += 1;
+    }
+    out2
+};
+
+/// Forward pass one trellis step at a time, the metrics ping-ponging
+/// between two stack banks; `step` fills the next bank and returns the
+/// step's survivor word.
+fn forward_steps(
+    llrs: &[f64],
+    survivors: &mut [u64],
+    mut step: impl FnMut(&[f64; NUM_STATES], &mut [f64; NUM_STATES], f64, f64) -> u64,
+) -> [f64; NUM_STATES] {
+    let mut bank_a = [NEG_INF; NUM_STATES];
+    let mut bank_b = [NEG_INF; NUM_STATES];
+    bank_a[0] = 0.0; // encoder starts in state 0
+    let (mut metrics, mut next_metrics) = (&mut bank_a, &mut bank_b);
+    for (pair, word) in llrs.chunks_exact(2).zip(survivors.iter_mut()) {
+        *word = step(metrics, next_metrics, pair[0], pair[1]);
+        std::mem::swap(&mut metrics, &mut next_metrics);
+    }
+    *metrics
 }
 
 impl Default for ViterbiKernel {
@@ -239,7 +298,6 @@ impl Default for ViterbiKernel {
 /// survivor word. This is the portable reference the vector path must match
 /// bit for bit.
 fn acs_step_scalar(
-    out2: &[u8; 2 * NUM_STATES],
     metrics: &[f64; NUM_STATES],
     next_metrics: &mut [f64; NUM_STATES],
     la: f64,
@@ -252,15 +310,15 @@ fn acs_step_scalar(
     // Butterfly pairing: next-states j and j+32 share predecessors 2j and
     // 2j+1, and because both generator polynomials have their top bit set,
     // flipping the input bit complements both outputs — the j+32 branch
-    // metrics are the exact IEEE negations of the j ones (asserted in
-    // `ViterbiKernel::new`). One pass over the predecessor metrics
-    // therefore feeds both halves.
+    // metrics are the exact IEEE negations of the j ones (asserted where
+    // `OUT2` is built). One pass over the predecessor metrics therefore
+    // feeds both halves.
     for j in 0..NUM_STATES / 2 {
         let reg_lo = j << 1;
         let m0 = metrics[reg_lo];
         let m1 = metrics[reg_lo | 1];
-        let b0 = bm[out2[reg_lo] as usize];
-        let b1 = bm[out2[reg_lo | 1] as usize];
+        let b0 = bm[OUT2[reg_lo] as usize];
+        let b1 = bm[OUT2[reg_lo | 1] as usize];
         // Strict '>' keeps the scalar reference's low-predecessor-wins
         // tie-break, so outputs stay bit-identical.
         let (lo, hi) = (m0 + b0, m1 + b1);
@@ -285,8 +343,9 @@ fn acs_step_scalar(
 /// order, and the select uses the same strict `hi > lo` predicate
 /// (`_CMP_GT_OQ`). No FMA contraction can occur — intrinsics lower to the
 /// exact instructions named.
+#[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::NUM_STATES;
+    use super::{NUM_STATES, OUT2};
 
     /// Butterfly lane order inside each 4-wide block: `unpacklo/hi_pd`
     /// interleave 128-bit lanes, so block k processes butterflies
@@ -313,56 +372,45 @@ mod simd {
     /// Branch-metric signs in lane order: entry `4k + l` belongs to
     /// butterfly `4k + LANES[l]`, with `bm = sa·la + sb·lb` and
     /// `sa, sb ∈ {+1, -1}` (+1 when the branch emits a 0).
-    #[derive(Debug, Clone)]
-    pub(super) struct SignTables {
-        pub sae: [f64; NUM_STATES / 2],
-        pub sbe: [f64; NUM_STATES / 2],
-        pub sao: [f64; NUM_STATES / 2],
-        pub sbo: [f64; NUM_STATES / 2],
+    struct SignTables {
+        sae: [f64; NUM_STATES / 2],
+        sbe: [f64; NUM_STATES / 2],
+        sao: [f64; NUM_STATES / 2],
+        sbo: [f64; NUM_STATES / 2],
     }
 
-    impl SignTables {
-        pub(super) fn new(out2: &[u8; 2 * NUM_STATES]) -> Self {
-            let sign = |bit: u8| if bit == 0 { 1.0 } else { -1.0 };
-            let mut t = SignTables {
-                sae: [0.0; NUM_STATES / 2],
-                sbe: [0.0; NUM_STATES / 2],
-                sao: [0.0; NUM_STATES / 2],
-                sbo: [0.0; NUM_STATES / 2],
-            };
-            for k in 0..NUM_STATES / 8 {
-                for (l, &lane) in LANES.iter().enumerate() {
-                    let j = 4 * k + lane;
-                    let (even, odd) = (out2[2 * j], out2[2 * j + 1]);
-                    t.sae[4 * k + l] = sign(even >> 1);
-                    t.sbe[4 * k + l] = sign(even & 1);
-                    t.sao[4 * k + l] = sign(odd >> 1);
-                    t.sbo[4 * k + l] = sign(odd & 1);
-                }
+    const SIGNS: SignTables = {
+        const fn sign(bit: u8) -> f64 {
+            if bit == 0 {
+                1.0
+            } else {
+                -1.0
             }
-            t
         }
-    }
-
-    /// Whether the AVX2 step may be used in this process.
-    pub(super) fn available() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
+        let mut t = SignTables {
+            sae: [0.0; NUM_STATES / 2],
+            sbe: [0.0; NUM_STATES / 2],
+            sao: [0.0; NUM_STATES / 2],
+            sbo: [0.0; NUM_STATES / 2],
+        };
+        let mut i = 0;
+        while i < NUM_STATES / 2 {
+            let j = i - i % 4 + LANES[i % 4];
+            let (even, odd) = (OUT2[2 * j], OUT2[2 * j + 1]);
+            t.sae[i] = sign(even >> 1);
+            t.sbe[i] = sign(even & 1);
+            t.sao[i] = sign(odd >> 1);
+            t.sbo[i] = sign(odd & 1);
+            i += 1;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
+        t
+    };
 
     /// # Safety
     ///
-    /// The CPU must support AVX2 (guaranteed by [`available`]).
-    #[cfg(target_arch = "x86_64")]
+    /// The CPU must support AVX2 (see `AcsPath::detect`).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn acs_step_avx2(
-        sgn: &SignTables,
         metrics: &[f64; NUM_STATES],
         next_metrics: &mut [f64; NUM_STATES],
         la: f64,
@@ -371,6 +419,7 @@ mod simd {
         use std::arch::x86_64::*;
         // Lane selector [0, 2, 1, 3]: undoes the unpack interleave.
         const UNSHUFFLE: i32 = 0b11_01_10_00;
+        let sgn = &SIGNS;
         let la_v = _mm256_set1_pd(la);
         let lb_v = _mm256_set1_pd(lb);
         let mut word = 0u64;
@@ -414,18 +463,123 @@ mod simd {
         }
         word
     }
+}
 
-    /// Scalar-only builds still call through the dispatch arm; keep the
-    /// symbol so `run_trellis` compiles everywhere.
-    #[cfg(not(target_arch = "x86_64"))]
-    pub(super) unsafe fn acs_step_avx2(
-        _sgn: &SignTables,
-        _metrics: &[f64; NUM_STATES],
-        _next_metrics: &mut [f64; NUM_STATES],
-        _la: f64,
-        _lb: f64,
-    ) -> u64 {
-        unreachable!("avx2 path is never selected off x86_64")
+/// AVX-512F forward pass over a whole frame, 8 butterflies per vector.
+///
+/// The 64 path metrics stay in eight `__m512d` registers (vector `v` holds
+/// states `8v..8v+8`) from the first trellis step to the last; memory sees
+/// only the LLR pairs going in and one survivor word per step going out.
+/// Per step and per group `g` of butterflies `8g..8g+8`:
+///
+/// - `permutex2var` splits metric vectors `2g` and `2g+1` (states
+///   `16g..16g+16`) into the even and the odd predecessors;
+/// - the branch metrics are the broadcast `la` and `lb` with their sign
+///   bits flipped from a per-butterfly table, plus one add: the same
+///   `(±la) + (±lb)` IEEE op as the scalar step's `bm` table (`la - lb` is
+///   bitwise `la + (-lb)`);
+/// - the input-0 half writes next-states `8g..8g+8` (vector `g`) and the
+///   input-1 half, with the metrics subtracted, next-states `32+8g..`
+///   (vector `g+4`); the strict `hi > lo` compare (`_CMP_GT_OQ`) lands in a
+///   mask register that is both the blend selector and, as it stands, the
+///   survivor byte for that vector.
+///
+/// Every float op and operand order matches [`acs_step_scalar`], so
+/// survivors and metrics are bit-identical to it.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{NEG_INF, NUM_STATES, OUT2};
+    use std::arch::x86_64::*;
+
+    /// Metric vectors in the frame state.
+    const VECTORS: usize = NUM_STATES / 8;
+
+    /// Sign-bit masks of `la` (`[0]`) and `lb` (`[1]`) per branch, one
+    /// 8-lane row per butterfly group and predecessor parity: row `2g` holds
+    /// the even predecessors of butterflies `8g..8g+8`, row `2g + 1` the odd
+    /// ones. A set sign bit means the branch emits a 1 on that output, so
+    /// its LLR enters negated.
+    const FLIPS: [[[u64; 8]; VECTORS]; 2] = {
+        let mut flips = [[[0; 8]; VECTORS]; 2];
+        let mut reg = 0;
+        while reg < NUM_STATES {
+            let (j, parity) = (reg / 2, reg % 2);
+            let (row, lane) = (2 * (j / 8) + parity, j % 8);
+            flips[0][row][lane] = ((OUT2[reg] >> 1) as u64) << 63;
+            flips[1][row][lane] = ((OUT2[reg] & 1) as u64) << 63;
+            reg += 1;
+        }
+        flips
+    };
+
+    /// `x` with the sign bits set in `mask` flipped.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn flip(x: __m512i, mask: [u64; 8]) -> __m512d {
+        let [a, b, c, d, e, f, g, h] = mask.map(|lane| lane as i64);
+        _mm512_castsi512_pd(_mm512_xor_si512(
+            x,
+            _mm512_setr_epi64(a, b, c, d, e, f, g, h),
+        ))
+    }
+
+    /// Runs one frame: writes one survivor word per LLR pair into
+    /// `survivors` and returns the final path metrics.
+    ///
+    /// # Safety
+    ///
+    /// Callers without AVX-512F enabled must call it in `unsafe` and only
+    /// on a CPU that has it (`AcsPath::detect`).
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn forward(llrs: &[f64], survivors: &mut [u64]) -> [f64; NUM_STATES] {
+        // `permutex2var` lane selectors over the 16 states of a vector
+        // pair: the even ones, then the odd ones, in state order.
+        let even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+        let odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+        // The encoder starts in state 0.
+        let mut m = [_mm512_set1_pd(NEG_INF); VECTORS];
+        m[0] = _mm512_mask_mov_pd(m[0], 1, _mm512_setzero_pd());
+        for (pair, word) in llrs.chunks_exact(2).zip(survivors.iter_mut()) {
+            let la = _mm512_castpd_si512(_mm512_set1_pd(pair[0]));
+            let lb = _mm512_castpd_si512(_mm512_set1_pd(pair[1]));
+            let mut next = m;
+            let mut take = [0u8; VECTORS];
+            for g in 0..VECTORS / 2 {
+                let (e, o) = (2 * g, 2 * g + 1);
+                let m0 = _mm512_permutex2var_pd(m[e], even, m[o]);
+                let m1 = _mm512_permutex2var_pd(m[e], odd, m[o]);
+                let b0 = _mm512_add_pd(flip(la, FLIPS[0][e]), flip(lb, FLIPS[1][e]));
+                let b1 = _mm512_add_pd(flip(la, FLIPS[0][o]), flip(lb, FLIPS[1][o]));
+                // Input-0 half: next-states 8g..8g+8.
+                let lo = _mm512_add_pd(m0, b0);
+                let hi = _mm512_add_pd(m1, b1);
+                take[g] = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(hi, lo);
+                next[g] = _mm512_mask_blend_pd(take[g], lo, hi);
+                // Input-1 half: next-states 32+8g.., exact IEEE negations.
+                let lo = _mm512_sub_pd(m0, b0);
+                let hi = _mm512_sub_pd(m1, b1);
+                let k = g + VECTORS / 2;
+                take[k] = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(hi, lo);
+                next[k] = _mm512_mask_blend_pd(take[k], lo, hi);
+            }
+            // Mask `v` is the survivor byte of metric vector `v`. Written
+            // as a shift-or chain, the packing stays in general-purpose
+            // registers; as an OR of shifted bytes the compiler builds it
+            // with byte inserts on the vector ports instead, which cost
+            // about a fifth of the step.
+            let mut w = 0u64;
+            for v in (0..VECTORS).rev() {
+                w = (w << 8) | u64::from(take[v]);
+            }
+            *word = w;
+            m = next;
+        }
+        // SAFETY: `[__m512d; 8]` and `[f64; 64]` are the same 512 bytes of
+        // plain `f64`s, so every bit pattern is valid for both (`transmute`
+        // checks the sizes). No length enters here: the zip above covers
+        // every step because `FrameLlrs::check` admitted exactly two LLRs
+        // per survivor word.
+        unsafe { std::mem::transmute::<[__m512d; VECTORS], [f64; NUM_STATES]>(m) }
     }
 }
 
@@ -485,7 +639,10 @@ impl ViterbiDecoder {
     /// [`ViterbiDecoder::try_decode_hard`] for the non-panicking variant.
     pub fn decode_hard(&self, coded: &[u8], num_info: usize) -> Vec<u8> {
         // Map hard bits to bipolar soft values: 0 → +1, 1 → −1.
-        let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
+        let llrs: Vec<f64> = coded
+            .iter()
+            .map(|&b| if b == 0 { 1.0 } else { -1.0 })
+            .collect();
         self.decode_soft(&llrs, num_info)
     }
 
@@ -493,7 +650,10 @@ impl ViterbiDecoder {
     /// mis-sized input as a typed error instead of panicking — the form the
     /// fault-injection sweeps rely on.
     pub fn try_decode_hard(&self, coded: &[u8], num_info: usize) -> Result<Vec<u8>, WlanError> {
-        let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
+        let llrs: Vec<f64> = coded
+            .iter()
+            .map(|&b| if b == 0 { 1.0 } else { -1.0 })
+            .collect();
         self.try_decode_soft(&llrs, num_info)
     }
 
@@ -507,15 +667,9 @@ impl ViterbiDecoder {
     /// Panics if `llrs.len() != (num_info + 6) * 2`; see
     /// [`ViterbiDecoder::try_decode_soft`] for the non-panicking variant.
     pub fn decode_soft(&self, llrs: &[f64], num_info: usize) -> Vec<u8> {
-        assert_eq!(
-            llrs.len(),
-            (num_info + TAIL) * 2,
-            "coded length must be (num_info + 6) * 2"
-        );
-        with_thread_kernel(|k| {
-            k.run_trellis(llrs, num_info + TAIL, true);
-            k.decoded[..num_info].to_vec()
-        })
+        let decoded = self.try_decode_soft(llrs, num_info);
+        assert!(decoded.is_ok(), "coded length must be (num_info + 6) * 2");
+        decoded.unwrap_or_default()
     }
 
     /// Like [`ViterbiDecoder::decode_soft`], but a mis-sized LLR block
@@ -535,11 +689,9 @@ impl ViterbiDecoder {
     /// [`ViterbiDecoder::try_decode_soft_unterminated`] for the
     /// non-panicking variant.
     pub fn decode_soft_unterminated(&self, llrs: &[f64], num_bits: usize) -> Vec<u8> {
-        assert_eq!(llrs.len(), num_bits * 2, "coded length must be num_bits * 2");
-        with_thread_kernel(|k| {
-            k.run_trellis(llrs, num_bits, false);
-            k.decoded[..num_bits].to_vec()
-        })
+        let decoded = self.try_decode_soft_unterminated(llrs, num_bits);
+        assert!(decoded.is_ok(), "coded length must be num_bits * 2");
+        decoded.unwrap_or_default()
     }
 
     /// Like [`ViterbiDecoder::decode_soft_unterminated`], but a mis-sized
@@ -554,11 +706,34 @@ impl ViterbiDecoder {
 }
 
 #[cfg(test)]
+impl AcsPath {
+    /// Every path this CPU can run, the scalar reference first.
+    fn supported() -> Vec<AcsPath> {
+        #[allow(unused_mut)]
+        let mut paths = vec![AcsPath::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                paths.push(AcsPath::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                paths.push(AcsPath::Avx512);
+            }
+        }
+        paths
+    }
+}
+
+#[cfg(test)]
 impl ViterbiKernel {
-    /// Forces the portable scalar step, so tests can pin the vector path
-    /// against it on the same machine.
-    fn scalar_only(mut self) -> Self {
-        self.use_avx2 = false;
+    /// Forces `path`, so tests can pin each vector path against the scalar
+    /// step on the same machine.
+    fn on_path(mut self, path: AcsPath) -> Self {
+        assert!(
+            AcsPath::supported().contains(&path),
+            "{path:?} is unsupported here"
+        );
+        self.path = path;
         self
     }
 }
@@ -575,40 +750,72 @@ mod tests {
 
     #[test]
     fn vector_and_scalar_trellis_are_bit_identical() {
+        // Every vector path this CPU supports against the scalar reference
+        // step: survivor words, final path metrics (bitwise, so the sign of
+        // a zero counts) and decoded bits, terminated and unterminated.
         use wlan_math::rng::{Rng, WlanRng};
-        let mut fast = ViterbiKernel::new();
-        if !fast.use_avx2 {
-            // Nothing to cross-check on machines without AVX2; the scalar
-            // path is the reference and is covered by every other test.
-            return;
-        }
-        let mut scalar = ViterbiKernel::new().scalar_only();
+        let vector_paths: Vec<AcsPath> = AcsPath::supported()
+            .into_iter()
+            .filter(|&p| p != AcsPath::Scalar)
+            .collect();
+        let mut scalar = ViterbiKernel::new().on_path(AcsPath::Scalar);
         let mut rng = WlanRng::seed_from_u64(17);
-        for trial in 0..200u64 {
-            let n = 8 + (trial as usize % 64);
-            let data: Vec<u8> = (0..n).map(|_| rng.gen_range(0..2u8)).collect();
-            let coded = ConvEncoder::new().encode_terminated(&data);
-            // Noisy LLRs (including occasional exact erasures) so survivor
-            // selections and tie-breaks are exercised, not just clean runs.
-            let llrs: Vec<f64> = coded
-                .iter()
-                .map(|&b| {
-                    if rng.gen_bool(0.05) {
-                        0.0
+        for (n, trials) in [(1usize, 40), (7, 40), (800, 10), (9624, 2)] {
+            for trial in 0..trials {
+                for terminated in [true, false] {
+                    let data: Vec<u8> = (0..n).map(|_| rng.gen_range(0..2u8)).collect();
+                    let coded = if terminated {
+                        ConvEncoder::new().encode_terminated(&data)
                     } else {
-                        (if b == 0 { 1.0 } else { -1.0 }) + rng.gen_gaussian()
+                        ConvEncoder::new().encode(&data)
+                    };
+                    // Noisy LLRs quantized to halves, plus exact erasures:
+                    // path metrics are then exact sums, so equal metrics —
+                    // where only the strict `>` tie-break decides — and
+                    // signed zeros are common, not just clean runs.
+                    let llrs: Vec<f64> = coded
+                        .iter()
+                        .map(|&b| {
+                            if rng.gen_bool(0.05) {
+                                0.0
+                            } else {
+                                let x = (if b == 0 { 1.0 } else { -1.0 }) + rng.gen_gaussian();
+                                (2.0 * x).round() / 2.0
+                            }
+                        })
+                        .collect();
+                    let frame = FrameLlrs {
+                        llrs: &llrs,
+                        num_bits: n,
+                        terminated,
+                    };
+                    let steps = frame.check().unwrap();
+                    let want_metrics = scalar.forward(&llrs, steps).map(f64::to_bits);
+                    let want_bits = scalar.decode(frame).unwrap();
+                    for &path in &vector_paths {
+                        let at = format!("{path:?} n={n} terminated={terminated} trial={trial}");
+                        let mut fast = ViterbiKernel::new().on_path(path);
+                        let metrics = fast.forward(&llrs, steps).map(f64::to_bits);
+                        assert_eq!(fast.survivors, scalar.survivors, "survivors: {at}");
+                        assert_eq!(metrics, want_metrics, "final metrics: {at}");
+                        assert_eq!(fast.decode(frame).unwrap(), want_bits, "bits: {at}");
                     }
-                })
-                .collect();
-            let frame = FrameLlrs::terminated(&llrs, n);
-            let a = fast.decode(frame).unwrap();
-            let b = scalar.decode(frame).unwrap();
-            assert_eq!(a, b, "decoded bits diverge at trial {trial}");
-            assert_eq!(
-                fast.survivors, scalar.survivors,
-                "survivor words diverge at trial {trial}"
-            );
+                }
+            }
         }
+    }
+
+    #[test]
+    fn overflowing_lengths_are_typed_errors() {
+        // Step and LLR counts that overflow usize must be refused, not
+        // wrapped into a length that happens to match the slice.
+        let dec = ViterbiDecoder::new();
+        let overflow = WlanError::InvalidConfig("Viterbi frame length overflows usize");
+        let half = usize::MAX / 2 + 1;
+        assert_eq!(dec.try_decode_soft_unterminated(&[], half), Err(overflow));
+        assert_eq!(dec.try_decode_soft(&[], usize::MAX - 5), Err(overflow));
+        assert_eq!(dec.try_decode_soft(&[0.0; 4], half - 4), Err(overflow));
+        assert_eq!(dec.try_decode_hard(&[], usize::MAX), Err(overflow));
     }
 
     #[test]
@@ -636,7 +843,10 @@ mod tests {
             let frame = FrameLlrs::terminated(&llrs, n);
             let stale = reused.decode(frame).unwrap();
             let fresh = ViterbiKernel::new().decode(frame).unwrap();
-            assert_eq!(stale, fresh, "round {round}: n={n} diverged after batch-size change");
+            assert_eq!(
+                stale, fresh,
+                "round {round}: n={n} diverged after batch-size change"
+            );
         }
     }
 
@@ -709,7 +919,10 @@ mod tests {
         // correct neighbourhood: soft decoding must recover.
         let data = vec![1u8, 1, 0, 0, 1, 0, 1, 1, 0, 1];
         let coded = ConvEncoder::new().encode_terminated(&data);
-        let mut llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 5.0 } else { -5.0 }).collect();
+        let mut llrs: Vec<f64> = coded
+            .iter()
+            .map(|&b| if b == 0 { 5.0 } else { -5.0 })
+            .collect();
         llrs[7] = -llrs[7].signum() * 0.1; // weak wrong observation
         let decoded = ViterbiDecoder::new().decode_soft(&llrs, data.len());
         assert_eq!(decoded, data);
@@ -721,7 +934,10 @@ mod tests {
         // corrupt decoding when enough other bits survive.
         let data = vec![0u8, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0];
         let coded = ConvEncoder::new().encode_terminated(&data);
-        let mut llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 3.0 } else { -3.0 }).collect();
+        let mut llrs: Vec<f64> = coded
+            .iter()
+            .map(|&b| if b == 0 { 3.0 } else { -3.0 })
+            .collect();
         for i in (0..llrs.len()).step_by(6) {
             llrs[i] = 0.0;
         }
@@ -740,7 +956,10 @@ mod tests {
         let data: Vec<u8> = (0..50).map(|i| ((i * 3) % 4 == 1) as u8).collect();
         let mut enc = ConvEncoder::new();
         let coded = enc.encode(&data);
-        let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 2.0 } else { -2.0 }).collect();
+        let llrs: Vec<f64> = coded
+            .iter()
+            .map(|&b| if b == 0 { 2.0 } else { -2.0 })
+            .collect();
         let decoded = ViterbiDecoder::new().decode_soft_unterminated(&llrs, data.len());
         assert_eq!(decoded, data);
     }
@@ -751,8 +970,10 @@ mod tests {
         // bits well before the end must still decode despite channel errors.
         let data: Vec<u8> = (0..60).map(|i| (i % 5 < 2) as u8).collect();
         let coded = ConvEncoder::new().encode(&data);
-        let mut llrs: Vec<f64> =
-            coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
+        let mut llrs: Vec<f64> = coded
+            .iter()
+            .map(|&b| if b == 0 { 1.0 } else { -1.0 })
+            .collect();
         llrs[10] = -llrs[10];
         llrs[50] = -llrs[50];
         let decoded = ViterbiDecoder::new().decode_soft_unterminated(&llrs, data.len());
@@ -771,11 +992,17 @@ mod tests {
         let dec = ViterbiDecoder::new();
         assert_eq!(
             dec.try_decode_hard(&[0, 1, 0], 4).unwrap_err(),
-            WlanError::LengthMismatch { expected: 20, got: 3 }
+            WlanError::LengthMismatch {
+                expected: 20,
+                got: 3
+            }
         );
         assert_eq!(
             dec.try_decode_soft_unterminated(&[0.0; 5], 4).unwrap_err(),
-            WlanError::LengthMismatch { expected: 8, got: 5 }
+            WlanError::LengthMismatch {
+                expected: 8,
+                got: 5
+            }
         );
     }
 
@@ -789,7 +1016,10 @@ mod tests {
             dec.decode_hard(&coded, data.len())
         );
         let stream = ConvEncoder::new().encode(&data);
-        let llrs: Vec<f64> = stream.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
+        let llrs: Vec<f64> = stream
+            .iter()
+            .map(|&b| if b == 0 { 1.0 } else { -1.0 })
+            .collect();
         assert_eq!(
             dec.try_decode_soft_unterminated(&llrs, data.len()).unwrap(),
             dec.decode_soft_unterminated(&llrs, data.len())
@@ -799,7 +1029,12 @@ mod tests {
     /// The scalar reference trellis the kernel must match bit-for-bit: the
     /// original per-(prev, input) loop with tuple survivors, kept here as a
     /// test oracle.
-    fn reference_trellis(llrs: &[f64], total_steps: usize, keep: usize, terminated: bool) -> Vec<u8> {
+    fn reference_trellis(
+        llrs: &[f64],
+        total_steps: usize,
+        keep: usize,
+        terminated: bool,
+    ) -> Vec<u8> {
         let mut metrics = vec![NEG_INF; NUM_STATES];
         metrics[0] = 0.0;
         let mut next_metrics = vec![NEG_INF; NUM_STATES];
@@ -918,14 +1153,23 @@ mod tests {
                 FrameLlrs::unterminated(&bad, 4),
             ])
             .unwrap_err();
-        assert_eq!(err, WlanError::LengthMismatch { expected: 8, got: 5 });
+        assert_eq!(
+            err,
+            WlanError::LengthMismatch {
+                expected: 8,
+                got: 5
+            }
+        );
     }
 
     #[test]
     fn decode_into_reuses_buffer() {
         let data = vec![1u8, 0, 1, 1, 0, 0, 1, 0];
         let coded = ConvEncoder::new().encode_terminated(&data);
-        let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 4.0 } else { -4.0 }).collect();
+        let llrs: Vec<f64> = coded
+            .iter()
+            .map(|&b| if b == 0 { 4.0 } else { -4.0 })
+            .collect();
         let mut kernel = ViterbiKernel::new();
         let mut bits = vec![9u8; 100]; // stale content must be cleared
         kernel
@@ -943,26 +1187,53 @@ mod perf_probe {
     #[test]
     #[ignore = "manual timing probe"]
     fn time_both_paths() {
+        // Per-step cost of every path this CPU supports, on an 800-bit
+        // terminated frame and on the 9 624-step unterminated stream of a
+        // 1200-byte OFDM frame.
         use wlan_math::rng::{Rng, WlanRng};
         let mut rng = WlanRng::seed_from_u64(5);
-        let data: Vec<u8> = (0..800).map(|_| rng.gen_range(0..2u8)).collect();
-        let coded = ConvEncoder::new().encode_terminated(&data);
-        let llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| (if b == 0 { 1.0 } else { -1.0 }) + 0.3 * rng.gen_gaussian())
-            .collect();
-        let mut fast = ViterbiKernel::new();
-        println!("avx2 selected: {}", fast.use_avx2);
-        let mut scalar = ViterbiKernel::new().scalar_only();
-        let mut bits = Vec::new();
-        for (name, k) in [("vector", &mut fast), ("scalar", &mut scalar)] {
-            let t = std::time::Instant::now();
-            for _ in 0..2000 {
-                k.decode_into(FrameLlrs::terminated(&llrs, data.len()), &mut bits)
-                    .unwrap();
-                std::hint::black_box(&bits);
+        for (n, terminated, reps) in [(800usize, true, 400), (9624, false, 40)] {
+            let data: Vec<u8> = (0..n).map(|_| rng.gen_range(0..2u8)).collect();
+            let coded = if terminated {
+                ConvEncoder::new().encode_terminated(&data)
+            } else {
+                ConvEncoder::new().encode(&data)
+            };
+            let llrs: Vec<f64> = coded
+                .iter()
+                .map(|&b| (if b == 0 { 1.0 } else { -1.0 }) + 0.3 * rng.gen_gaussian())
+                .collect();
+            let frame = FrameLlrs {
+                llrs: &llrs,
+                num_bits: n,
+                terminated,
+            };
+            let steps = llrs.len() / 2;
+            println!("detected: {:?}", AcsPath::detect());
+            // Min over interleaved rounds: the paths share each time window.
+            let mut kernels: Vec<(ViterbiKernel, f64)> = AcsPath::supported()
+                .into_iter()
+                .map(|path| (ViterbiKernel::new().on_path(path), f64::INFINITY))
+                .collect();
+            let mut bits = Vec::new();
+            for _round in 0..7 {
+                for (kernel, best) in &mut kernels {
+                    let t = std::time::Instant::now();
+                    for _ in 0..reps {
+                        kernel.decode_into(frame, &mut bits).unwrap();
+                        std::hint::black_box(&bits);
+                    }
+                    *best = best.min(t.elapsed().as_secs_f64() / reps as f64);
+                }
             }
-            println!("{name}: {:.1} us/frame", t.elapsed().as_secs_f64() / 2000.0 * 1e6);
+            for (kernel, per_frame) in &kernels {
+                println!(
+                    "{:?} {steps} steps: {:.1} us/frame, {:.1} ns/step",
+                    kernel.path,
+                    per_frame * 1e6,
+                    per_frame * 1e9 / steps as f64
+                );
+            }
         }
     }
 }
