@@ -15,7 +15,7 @@ cargo build --release --offline
 # (linksim::run_trials) every sweep, campaign and lease runs through.
 WLAN_THREADS=1 cargo test -q --offline
 cargo test -q --offline
-cargo clippy --workspace --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Kill-and-resume smoke: a campaign SIGKILLed mid-flight must resume from
 # its checkpoint journal and print a result table byte-identical to a run

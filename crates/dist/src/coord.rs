@@ -1599,7 +1599,7 @@ mod tests {
     }
 
     fn sorted_quarantine(mut q: Vec<QuarantinedTrial>) -> Vec<QuarantinedTrial> {
-        q.sort_by(|a, b| (a.point, a.frame).cmp(&(b.point, b.frame)));
+        q.sort_by_key(|t| (t.point, t.frame));
         q
     }
 

@@ -49,9 +49,7 @@ fn baseline(spec: LinkSpec, fault: FaultSpec, threads: Option<usize>) -> PerCamp
     // The coordinator folds lease results in frame order, so its ledger
     // comes out (point, frame)-sorted; normalise the baseline the same
     // way before comparing.
-    report
-        .quarantine
-        .sort_by(|a, b| (a.point, a.frame).cmp(&(b.point, b.frame)));
+    report.quarantine.sort_by_key(|q| (q.point, q.frame));
     report
 }
 

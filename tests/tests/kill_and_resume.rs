@@ -352,9 +352,7 @@ fn quarantine_replay_is_deterministic_across_threads_and_workers() {
         !baseline.quarantine.is_empty(),
         "matrix needs a non-empty ledger to mean anything"
     );
-    baseline
-        .quarantine
-        .sort_by(|a, b| (a.point, a.frame).cmp(&(b.point, b.frame)));
+    baseline.quarantine.sort_by_key(|q| (q.point, q.frame));
 
     for threads in [Some(1), Some(2), None] {
         for workers in [1usize, 2] {
