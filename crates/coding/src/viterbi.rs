@@ -66,10 +66,7 @@ impl<'a> FrameLlrs<'a> {
         let total_steps = self.num_bits.checked_add(tail).ok_or(OVERFLOW)?;
         let expected = total_steps.checked_mul(2).ok_or(OVERFLOW)?;
         if self.llrs.len() != expected {
-            return Err(WlanError::LengthMismatch {
-                expected,
-                got: self.llrs.len(),
-            });
+            return Err(WlanError::LengthMismatch { expected, got: self.llrs.len() });
         }
         Ok(total_steps)
     }
@@ -142,11 +139,7 @@ pub struct ViterbiKernel {
 impl ViterbiKernel {
     /// Creates a kernel with an empty scratch arena.
     pub fn new() -> Self {
-        ViterbiKernel {
-            path: AcsPath::detect(),
-            survivors: Vec::new(),
-            decoded: Vec::new(),
-        }
+        ViterbiKernel { path: AcsPath::detect(), survivors: Vec::new(), decoded: Vec::new() }
     }
 
     /// Decodes a batch of frames, reusing the kernel's scratch across all of
@@ -517,10 +510,7 @@ mod avx512 {
     #[target_feature(enable = "avx512f")]
     fn flip(x: __m512i, mask: [u64; 8]) -> __m512d {
         let [a, b, c, d, e, f, g, h] = mask.map(|lane| lane as i64);
-        _mm512_castsi512_pd(_mm512_xor_si512(
-            x,
-            _mm512_setr_epi64(a, b, c, d, e, f, g, h),
-        ))
+        _mm512_castsi512_pd(_mm512_xor_si512(x, _mm512_setr_epi64(a, b, c, d, e, f, g, h)))
     }
 
     /// Runs one frame: writes one survivor word per LLR pair into
@@ -639,10 +629,7 @@ impl ViterbiDecoder {
     /// [`ViterbiDecoder::try_decode_hard`] for the non-panicking variant.
     pub fn decode_hard(&self, coded: &[u8], num_info: usize) -> Vec<u8> {
         // Map hard bits to bipolar soft values: 0 → +1, 1 → −1.
-        let llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| if b == 0 { 1.0 } else { -1.0 })
-            .collect();
+        let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
         self.decode_soft(&llrs, num_info)
     }
 
@@ -650,10 +637,7 @@ impl ViterbiDecoder {
     /// mis-sized input as a typed error instead of panicking — the form the
     /// fault-injection sweeps rely on.
     pub fn try_decode_hard(&self, coded: &[u8], num_info: usize) -> Result<Vec<u8>, WlanError> {
-        let llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| if b == 0 { 1.0 } else { -1.0 })
-            .collect();
+        let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
         self.try_decode_soft(&llrs, num_info)
     }
 
@@ -729,10 +713,7 @@ impl ViterbiKernel {
     /// Forces `path`, so tests can pin each vector path against the scalar
     /// step on the same machine.
     fn on_path(mut self, path: AcsPath) -> Self {
-        assert!(
-            AcsPath::supported().contains(&path),
-            "{path:?} is unsupported here"
-        );
+        assert!(AcsPath::supported().contains(&path), "{path:?} is unsupported here");
         self.path = path;
         self
     }
@@ -754,10 +735,8 @@ mod tests {
         // step: survivor words, final path metrics (bitwise, so the sign of
         // a zero counts) and decoded bits, terminated and unterminated.
         use wlan_math::rng::{Rng, WlanRng};
-        let vector_paths: Vec<AcsPath> = AcsPath::supported()
-            .into_iter()
-            .filter(|&p| p != AcsPath::Scalar)
-            .collect();
+        let vector_paths: Vec<AcsPath> =
+            AcsPath::supported().into_iter().filter(|&p| p != AcsPath::Scalar).collect();
         let mut scalar = ViterbiKernel::new().on_path(AcsPath::Scalar);
         let mut rng = WlanRng::seed_from_u64(17);
         for (n, trials) in [(1usize, 40), (7, 40), (800, 10), (9624, 2)] {
@@ -784,11 +763,7 @@ mod tests {
                             }
                         })
                         .collect();
-                    let frame = FrameLlrs {
-                        llrs: &llrs,
-                        num_bits: n,
-                        terminated,
-                    };
+                    let frame = FrameLlrs { llrs: &llrs, num_bits: n, terminated };
                     let steps = frame.check().unwrap();
                     let want_metrics = scalar.forward(&llrs, steps).map(f64::to_bits);
                     let want_bits = scalar.decode(frame).unwrap();
@@ -843,10 +818,7 @@ mod tests {
             let frame = FrameLlrs::terminated(&llrs, n);
             let stale = reused.decode(frame).unwrap();
             let fresh = ViterbiKernel::new().decode(frame).unwrap();
-            assert_eq!(
-                stale, fresh,
-                "round {round}: n={n} diverged after batch-size change"
-            );
+            assert_eq!(stale, fresh, "round {round}: n={n} diverged after batch-size change");
         }
     }
 
@@ -919,10 +891,7 @@ mod tests {
         // correct neighbourhood: soft decoding must recover.
         let data = vec![1u8, 1, 0, 0, 1, 0, 1, 1, 0, 1];
         let coded = ConvEncoder::new().encode_terminated(&data);
-        let mut llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| if b == 0 { 5.0 } else { -5.0 })
-            .collect();
+        let mut llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 5.0 } else { -5.0 }).collect();
         llrs[7] = -llrs[7].signum() * 0.1; // weak wrong observation
         let decoded = ViterbiDecoder::new().decode_soft(&llrs, data.len());
         assert_eq!(decoded, data);
@@ -934,10 +903,7 @@ mod tests {
         // corrupt decoding when enough other bits survive.
         let data = vec![0u8, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0];
         let coded = ConvEncoder::new().encode_terminated(&data);
-        let mut llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| if b == 0 { 3.0 } else { -3.0 })
-            .collect();
+        let mut llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 3.0 } else { -3.0 }).collect();
         for i in (0..llrs.len()).step_by(6) {
             llrs[i] = 0.0;
         }
@@ -956,10 +922,7 @@ mod tests {
         let data: Vec<u8> = (0..50).map(|i| ((i * 3) % 4 == 1) as u8).collect();
         let mut enc = ConvEncoder::new();
         let coded = enc.encode(&data);
-        let llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| if b == 0 { 2.0 } else { -2.0 })
-            .collect();
+        let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 2.0 } else { -2.0 }).collect();
         let decoded = ViterbiDecoder::new().decode_soft_unterminated(&llrs, data.len());
         assert_eq!(decoded, data);
     }
@@ -970,10 +933,8 @@ mod tests {
         // bits well before the end must still decode despite channel errors.
         let data: Vec<u8> = (0..60).map(|i| (i % 5 < 2) as u8).collect();
         let coded = ConvEncoder::new().encode(&data);
-        let mut llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| if b == 0 { 1.0 } else { -1.0 })
-            .collect();
+        let mut llrs: Vec<f64> =
+            coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
         llrs[10] = -llrs[10];
         llrs[50] = -llrs[50];
         let decoded = ViterbiDecoder::new().decode_soft_unterminated(&llrs, data.len());
@@ -992,17 +953,11 @@ mod tests {
         let dec = ViterbiDecoder::new();
         assert_eq!(
             dec.try_decode_hard(&[0, 1, 0], 4).unwrap_err(),
-            WlanError::LengthMismatch {
-                expected: 20,
-                got: 3
-            }
+            WlanError::LengthMismatch { expected: 20, got: 3 }
         );
         assert_eq!(
             dec.try_decode_soft_unterminated(&[0.0; 5], 4).unwrap_err(),
-            WlanError::LengthMismatch {
-                expected: 8,
-                got: 5
-            }
+            WlanError::LengthMismatch { expected: 8, got: 5 }
         );
     }
 
@@ -1016,10 +971,7 @@ mod tests {
             dec.decode_hard(&coded, data.len())
         );
         let stream = ConvEncoder::new().encode(&data);
-        let llrs: Vec<f64> = stream
-            .iter()
-            .map(|&b| if b == 0 { 1.0 } else { -1.0 })
-            .collect();
+        let llrs: Vec<f64> = stream.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
         assert_eq!(
             dec.try_decode_soft_unterminated(&llrs, data.len()).unwrap(),
             dec.decode_soft_unterminated(&llrs, data.len())
@@ -1029,12 +981,7 @@ mod tests {
     /// The scalar reference trellis the kernel must match bit-for-bit: the
     /// original per-(prev, input) loop with tuple survivors, kept here as a
     /// test oracle.
-    fn reference_trellis(
-        llrs: &[f64],
-        total_steps: usize,
-        keep: usize,
-        terminated: bool,
-    ) -> Vec<u8> {
+    fn reference_trellis(llrs: &[f64], total_steps: usize, keep: usize, terminated: bool) -> Vec<u8> {
         let mut metrics = vec![NEG_INF; NUM_STATES];
         metrics[0] = 0.0;
         let mut next_metrics = vec![NEG_INF; NUM_STATES];
@@ -1153,23 +1100,14 @@ mod tests {
                 FrameLlrs::unterminated(&bad, 4),
             ])
             .unwrap_err();
-        assert_eq!(
-            err,
-            WlanError::LengthMismatch {
-                expected: 8,
-                got: 5
-            }
-        );
+        assert_eq!(err, WlanError::LengthMismatch { expected: 8, got: 5 });
     }
 
     #[test]
     fn decode_into_reuses_buffer() {
         let data = vec![1u8, 0, 1, 1, 0, 0, 1, 0];
         let coded = ConvEncoder::new().encode_terminated(&data);
-        let llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| if b == 0 { 4.0 } else { -4.0 })
-            .collect();
+        let llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 4.0 } else { -4.0 }).collect();
         let mut kernel = ViterbiKernel::new();
         let mut bits = vec![9u8; 100]; // stale content must be cleared
         kernel
@@ -1203,11 +1141,7 @@ mod perf_probe {
                 .iter()
                 .map(|&b| (if b == 0 { 1.0 } else { -1.0 }) + 0.3 * rng.gen_gaussian())
                 .collect();
-            let frame = FrameLlrs {
-                llrs: &llrs,
-                num_bits: n,
-                terminated,
-            };
+            let frame = FrameLlrs { llrs: &llrs, num_bits: n, terminated };
             let steps = llrs.len() / 2;
             println!("detected: {:?}", AcsPath::detect());
             // Min over interleaved rounds: the paths share each time window.
